@@ -2,10 +2,9 @@
 // annealer's move path (PlacementInto + TryMove + Undo) must run without
 // heap allocations once the session's buffers reach steady state, on every
 // D1-D4 design. BenchmarkSessionMove reports the same path with
-// -benchmem, using caller-owned placement buffers — unlike
-// BenchmarkAnnealMove's legacy driver, which allocates its own copies per
-// move and therefore shows a few allocs/op that are the driver's, not the
-// session's.
+// -benchmem, using caller-owned placement buffers. Both draw their
+// candidates from the measurement harness's move generator, the one the
+// anneal-move table (`nocbench -fig perf`) scores.
 package nocmap_test
 
 import (
@@ -15,8 +14,8 @@ import (
 	"testing"
 
 	"nocmap/internal/bench"
+	"nocmap/internal/bench/harness"
 	"nocmap/internal/core"
-	"nocmap/internal/experiments"
 	"nocmap/internal/usecase"
 )
 
@@ -24,7 +23,7 @@ import (
 // placement buffers and a pre-drawn candidate sequence.
 type sessionFixture struct {
 	sess *core.Session
-	seq  []experiments.PerfMove
+	seq  []harness.SwapMove
 	cs   []int
 	cn   []int
 }
@@ -51,7 +50,7 @@ func newSessionFixture(tb testing.TB, design string) *sessionFixture {
 			attached = append(attached, c)
 		}
 	}
-	seq := experiments.PerfMoveSequence(1, attached, m.CoreNI, 64)
+	seq := harness.MoveSequence(1, attached, m.CoreNI, 64)
 	if len(seq) == 0 {
 		tb.Fatalf("%s: no swap candidates", design)
 	}

@@ -266,80 +266,6 @@ func benchEngine(b *testing.B, name string) {
 	}
 }
 
-// BenchmarkAnnealMove measures the cost of scoring one annealing move on
-// the D1-D4 designs, via both evaluation paths over the identical seeded
-// candidate sequence from the greedy placement:
-//
-//   - full:  the legacy per-move core.EvaluateFixed call (re-validate,
-//     rebuild the flow work list, reallocate slot tables, re-route every
-//     flow of every use-case);
-//   - delta: one core.Session per design, scoring each candidate with
-//     TryMove/Undo (tear down and re-route only the moved flows, with the
-//     per-group rebuild fallback).
-//
-// The delta/full ns-per-op ratio is the anneal move-throughput win recorded
-// in BENCH_pr4.json (>= 3x on every design).
-func BenchmarkAnnealMove(b *testing.B) {
-	for _, name := range []string{"D1", "D2", "D3", "D4"} {
-		d, err := bench.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prep, err := usecase.Prepare(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := core.DefaultParams()
-		base, err := core.Map(prep, d.NumCores(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := base.Mapping
-		var attached []int
-		for c, s := range m.CoreSwitch {
-			if s >= 0 {
-				attached = append(attached, c)
-			}
-		}
-		// One fixed pool of candidate swaps (the perf figure's generator),
-		// reused cyclically by both paths.
-		seq := experiments.PerfMoveSequence(1, attached, m.CoreNI, 64)
-		if len(seq) == 0 {
-			b.Fatalf("%s: no swap candidates", name)
-		}
-		swap := func(mv experiments.PerfMove) (cs, cn []int) {
-			cs = append([]int(nil), m.CoreSwitch...)
-			cn = append([]int(nil), m.CoreNI...)
-			cs[mv.X], cs[mv.Y] = cs[mv.Y], cs[mv.X]
-			cn[mv.X], cn[mv.Y] = cn[mv.Y], cn[mv.X]
-			return cs, cn
-		}
-		b.Run(name+"/full", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cs, cn := swap(seq[i%len(seq)])
-				_, _ = core.EvaluateFixed(prep, d.NumCores(), m.Topology, cs, cn, p)
-			}
-		})
-		b.Run(name+"/delta", func(b *testing.B) {
-			ev, err := core.NewEvaluator(prep, d.NumCores(), m.Topology, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sess, err := ev.SessionFrom(base)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs, cn := swap(seq[i%len(seq)])
-				if _, err := sess.TryMove(cs, cn, seq[i%len(seq)].X, seq[i%len(seq)].Y); err == nil {
-					sess.Undo()
-				}
-			}
-		})
-	}
-}
-
 func itoa(v int) string {
 	if v == 0 {
 		return "0"

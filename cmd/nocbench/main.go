@@ -11,7 +11,7 @@
 // Usage:
 //
 //	nocbench                             # all figures
-//	nocbench -fig 6a                     # one of: 6a 6b 6c 7a 7b 7c 62 headline engines
+//	nocbench -fig 6a                     # one of: 6a 6b 6c 7a 7b 7c 62 headline engines topology perf
 //	nocbench -workload quick -out b.json # measure and record
 //	nocbench -compare BENCH_pr10.json    # regression gate against a record
 package main
@@ -297,23 +297,17 @@ func perfFigure() error {
 	if *moves < 1 {
 		return fmt.Errorf("-moves %d invalid: need at least 1 candidate move", *moves)
 	}
-	designs, err := experiments.PerfDesigns()
+	w := harness.Workload{Name: "perf", Designs: []string{"D1", "D2", "D3", "D4"}, Moves: *moves, Seed: *seed}
+	am, err := harness.RunAnnealMove(context.Background(), w, nil)
 	if err != nil {
 		return err
 	}
-	rows, err := experiments.PerfComparison(designs, *moves, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nEvaluation throughput: full re-configuration vs incremental session (%d moves, seed %d)\n", *moves, *seed)
-	fmt.Printf("%-8s %10s %14s %14s %14s %14s %9s\n",
-		"design", "moves", "full total", "full/move", "delta total", "delta/move", "speedup")
-	for _, r := range rows {
-		perFull := r.Full / time.Duration(r.Moves)
-		perDelta := r.Delta / time.Duration(r.Moves)
-		fmt.Printf("%-8s %10d %14s %14s %14s %14s %8.2fx\n",
-			r.Design, r.Moves, r.Full.Round(time.Microsecond), perFull.Round(time.Microsecond),
-			r.Delta.Round(time.Microsecond), perDelta.Round(time.Microsecond), r.Speedup)
+	fmt.Printf("\nEvaluation throughput: full re-configuration vs incremental session (%d moves, seed %d, best of 3)\n", am.Moves, am.Seed)
+	fmt.Printf("%-22s %14s %14s %9s\n", "design", "full/move", "delta/move", "speedup")
+	for _, r := range am.Rows {
+		fmt.Printf("%-22s %14s %14s %8.2fx\n", r.Design,
+			time.Duration(r.NsFull).Round(time.Microsecond),
+			time.Duration(r.NsDelta).Round(time.Microsecond), r.Speedup)
 	}
 	return nil
 }

@@ -8,7 +8,7 @@
 //
 //	nocmap -in design.json [-engine <name>] [-seeds 4]
 //	       [-topology mesh|torus|@fabric.json] [-budget 30s] [-freq 500]
-//	       [-slots 64] [-speculate 4] [-population 16] [-generations 24]
+//	       [-slots 64] [-population 16] [-generations 24]
 //	       [-nodes 500000] [-vhdl noc.vhd] [-config prefix]
 //	       [-placement place.txt] [-improve] [-progress]
 //
@@ -65,9 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	slots := fs.Int("slots", 64, "TDMA slot-table size")
 	maxDim := fs.Int("maxdim", 20, "maximum mesh dimension")
 	improve := fs.Bool("improve", false, "run placement refinement after mapping")
-	speculate := fs.Int("speculate", 0,
-		"speculative move-evaluation width for the anneal/portfolio engines: "+
-			"score this many candidate moves concurrently per annealing step (0/1 = serial)")
 	population := fs.Int("population", 0, "population size for the ga/pso/abc engines (0 = engine default 16)")
 	generations := fs.Int("generations", 0, "generations per fabric size for the ga/pso/abc engines (0 = engine default 24)")
 	nodes := fs.Int("nodes", 0, "deterministic node budget for the exact engine (0 = default 500000)")
@@ -101,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	// The option set shared by local and remote runs; the flags the wire form
-	// cannot carry (-speculate, -progress) stay local-only below.
+	// cannot carry (-progress) stay local-only below.
 	common := []noc.Option{
 		noc.WithEngine(*engine),
 		noc.WithTopology(*topoFlag),
@@ -136,10 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "nocmap: -progress streams from in-process engines and runs locally; drop -server to use it")
 			return 2
 		}
-		if *speculate > 1 {
-			fmt.Fprintln(stderr, "nocmap: -speculate tunes in-process engines and runs locally; drop -server to use it")
-			return 2
-		}
 		remote := runRemote
 		if *stream {
 			remote = runRemoteStream
@@ -154,14 +147,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "nocmap: -stream consumes a daemon's event stream; pass -server URL to use it")
 		return 2
 	}
-	if err := runLocal(stdout, stderr, *in, *freq, *slots, *speculate, *progress, *vhdl, *config, *placement, *simulate, common); err != nil {
+	if err := runLocal(stdout, stderr, *in, *freq, *slots, *progress, *vhdl, *config, *placement, *simulate, common); err != nil {
 		fmt.Fprintln(stderr, "nocmap:", err)
 		return 1
 	}
 	return 0
 }
 
-func runLocal(stdout, stderr io.Writer, in string, freq float64, slots, speculate int,
+func runLocal(stdout, stderr io.Writer, in string, freq float64, slots int,
 	progress bool, vhdl, config, placement string, simulate bool, common []noc.Option) error {
 	d, err := noc.LoadDesignFile(in)
 	if err != nil {
@@ -175,9 +168,6 @@ func runLocal(stdout, stderr io.Writer, in string, freq float64, slots, speculat
 		d.Name, d.NumCores(), len(prep.UseCases), len(prep.UseCases)-prep.NumOriginal, len(prep.Groups))
 
 	opts := append([]noc.Option(nil), common...)
-	if speculate > 1 {
-		opts = append(opts, noc.WithSpeculation(speculate))
-	}
 	if progress {
 		mapStart := time.Now()
 		opts = append(opts, noc.WithProgress(func(e noc.Event) {

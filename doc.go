@@ -52,10 +52,9 @@
 // per-job deadlines, queue backpressure, and a queryable
 // queued/running/done/failed lifecycle. cmd/nocserved exposes it over a
 // versioned HTTP/JSON surface (POST /v1/map, POST /v1/batch,
-// GET /v1/jobs/{id}, /v1/stats, /v1/version, /healthz; the pre-/v1 routes
-// remain as deprecated aliases) and cmd/nocmap -server delegates to a
-// running daemon. ARCHITECTURE.md maps the full layering; docs/cli.md
-// documents every binary and endpoint.
+// GET /v1/jobs/{id}, /v1/stats, /v1/version, /healthz) and cmd/nocmap
+// -server delegates to a running daemon. ARCHITECTURE.md maps the full
+// layering; docs/cli.md documents every binary and endpoint.
 //
 // The public face of all of this is the SDK in pkg/noc: typed design
 // construction (noc.DesignBuilder, noc.LoadDesign), one composable

@@ -17,9 +17,6 @@ import (
 //     exactly; these are deterministic engine results, so any drift is a
 //     behaviour change, not noise. ns_per_op of single-iteration benchmark
 //     entries is ignored — one sample is all noise.
-//   - speculation rows present in both records: the speculative run must
-//     still land on the baseline's switch count (fabric size is the
-//     paper's headline metric); wall-clock and hit rate are informational.
 //
 // Rows or entries present on only one side are reported but never fail the
 // gate, so workloads of different breadth (quick vs full) stay comparable.
@@ -46,7 +43,6 @@ func Compare(old, fresh *File, threshold float64) *Comparison {
 	c := &Comparison{}
 	compareAnnealMove(c, old, fresh, threshold)
 	compareBenchmarks(c, old, fresh)
-	compareSpec(c, old, fresh)
 	return c
 }
 
@@ -107,28 +103,4 @@ func nsNote(old, fresh *Benchmark) string {
 	}
 	return fmt.Sprintf("%.0f -> %.0f (%+.1f%%, informational)",
 		old.NsPerOp, fresh.NsPerOp, (fresh.NsPerOp/old.NsPerOp-1)*100)
-}
-
-func compareSpec(c *Comparison, old, fresh *File) {
-	if old.Spec == nil || fresh.Spec == nil {
-		return
-	}
-	baseline := map[string]SpecRow{}
-	for _, r := range old.Spec.Rows {
-		baseline[r.Design] = r
-	}
-	for _, r := range fresh.Spec.Rows {
-		b, ok := baseline[r.Design]
-		if !ok {
-			c.logf("spec %s: no baseline row, skipping", r.Design)
-			continue
-		}
-		c.logf("spec %s: k=%d %.1f ms (serial %.1f ms), cost %.1f, hit rate %d/%d",
-			r.Design, fresh.Spec.K, float64(r.NsSpec)/1e6, float64(r.NsSerial)/1e6,
-			r.CostSpec, r.SpecAccepted, r.Speculated)
-		if r.Switches != b.Switches {
-			c.failf("spec %s: switch count changed: %d -> %d (fabric size must hold)",
-				r.Design, b.Switches, r.Switches)
-		}
-	}
 }

@@ -24,15 +24,12 @@ import (
 
 // The measurement harness behind `nocbench -out/-compare`: it produces File
 // records from named workload configurations so a fresh run can be diffed
-// against a committed BENCH_*.json. It measures the three quantities the
+// against a committed BENCH_*.json. It measures the two quantities the
 // regression gate cares about: anneal-move throughput (the incremental
-// Session path versus the legacy full re-configuration), engine wall-clock
-// with result-quality metrics, and the speculative annealer versus the
-// serial chain.
-//
-// The harness measures directly against internal/core and internal/search
-// rather than reusing internal/experiments: experiments imports this
-// package for its designs, so the dependency can only point this way.
+// Session path versus the full re-configuration of core.EvaluateFixed) and
+// engine wall-clock with result-quality metrics. It is the repository's one
+// move-cost measurement: `nocbench -fig perf` prints its anneal-move table,
+// and the session allocation gate draws its candidates from MoveSequence.
 
 // Workload is one named measurement configuration.
 type Workload struct {
@@ -43,20 +40,14 @@ type Workload struct {
 	Moves int
 	// Seed seeds the candidate generator and the engines.
 	Seed int64
-	// Iters and SpecK configure the serial-versus-speculative engine
-	// comparison (annealing moves per run, speculation width).
-	Iters int
-	SpecK int
-	// Engines toggles the D1 engine wall-clock measurements.
-	Engines bool
 }
 
 // workloadTable is the registry of named workloads. "quick" is sized for a
 // CI gate (a couple of minutes on one core); "full" covers all four designs
 // for the committed record.
 var workloadTable = []Workload{
-	{Name: "quick", Designs: []string{"D1", "D2"}, Moves: 200, Seed: 1, Iters: 120, SpecK: 4, Engines: true},
-	{Name: "full", Designs: []string{"D1", "D2", "D3", "D4"}, Moves: 200, Seed: 1, Iters: 120, SpecK: 4, Engines: true},
+	{Name: "quick", Designs: []string{"D1", "D2"}, Moves: 200, Seed: 1},
+	{Name: "full", Designs: []string{"D1", "D2", "D3", "D4"}, Moves: 200, Seed: 1},
 }
 
 // WorkloadNames lists the registered workloads in display order.
@@ -78,42 +69,33 @@ func WorkloadByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("harness: unknown workload %q (have %s)", name, strings.Join(WorkloadNames(), ", "))
 }
 
-// Run executes the workload and returns its record. logf, when non-nil,
-// receives one progress line per measurement.
+// Run executes the workload — the anneal-move table over its designs, then
+// one run of every registered engine on D1 — and returns its record. logf,
+// when non-nil, receives one progress line per measurement.
 func Run(ctx context.Context, w Workload, logf func(format string, args ...any)) (*File, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	f := &File{
-		Note: fmt.Sprintf("nocbench workload %q: %d anneal-move candidates, engine runs, speculative anneal at K=%d (seed %d).",
-			w.Name, w.Moves, w.SpecK, w.Seed),
+		Note: fmt.Sprintf("nocbench workload %q: %d anneal-move candidates, engine runs (seed %d).",
+			w.Name, w.Moves, w.Seed),
 		Date:   time.Now().Format("2006-01-02"),
 		Goos:   runtime.GOOS,
 		Goarch: runtime.GOARCH,
 		CPU:    cpuModel(),
 	}
 
-	am, err := runAnnealMove(ctx, w, logf)
+	am, err := RunAnnealMove(ctx, w, logf)
 	if err != nil {
 		return nil, err
 	}
 	f.AnnealMove = am
 
-	if w.Engines {
-		bs, err := runEngines(ctx, w, logf)
-		if err != nil {
-			return nil, err
-		}
-		f.Benchmarks = bs
+	bs, err := runEngines(ctx, w, logf)
+	if err != nil {
+		return nil, err
 	}
-
-	if w.SpecK > 1 {
-		sp, err := runSpec(ctx, w, logf)
-		if err != nil {
-			return nil, err
-		}
-		f.Spec = sp
-	}
+	f.Benchmarks = bs
 	return f, nil
 }
 
@@ -134,14 +116,16 @@ func prepDesign(name string, p core.Params) (*usecase.Prepared, int, *core.Resul
 	return prep, d.NumCores(), base, nil
 }
 
-// swapMove is one candidate: cores X and Y exchange seats.
-type swapMove struct{ X, Y int }
+// SwapMove is one candidate: cores X and Y exchange seats.
+type SwapMove struct{ X, Y int }
 
-// moveSequence pre-generates a deterministic candidate sequence over the
-// attached cores (same draw structure as the experiments perf figure, so
-// records stay comparable across releases). Returns nil when no cross-NI
-// swap exists.
-func moveSequence(seed int64, attached, coreNI []int, moves int) []swapMove {
+// MoveSequence pre-generates a deterministic sequence of swap candidates
+// over the attached cores, so independent evaluation paths score the same
+// neighbours and recorded figures are reproducible. It returns nil when no
+// swap exists — fewer than two attached cores, or every attached core
+// seated on one NI — or when moves is not positive, instead of drawing
+// forever.
+func MoveSequence(seed int64, attached, coreNI []int, moves int) []SwapMove {
 	possible := false
 	for _, c := range attached {
 		if coreNI[c] != coreNI[attached[0]] {
@@ -153,26 +137,30 @@ func moveSequence(seed int64, attached, coreNI []int, moves int) []swapMove {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]swapMove, 0, moves)
+	out := make([]SwapMove, 0, moves)
 	for len(out) < moves {
 		x := attached[rng.Intn(len(attached))]
 		y := attached[rng.Intn(len(attached))]
 		if x == y || coreNI[x] == coreNI[y] {
 			continue
 		}
-		out = append(out, swapMove{x, y})
+		out = append(out, SwapMove{x, y})
 	}
 	return out
 }
 
-// runAnnealMove measures per-move scoring cost on each design: the legacy
-// full re-configuration (core.EvaluateFixed) versus the incremental Session
-// (TryMove/Undo), both over the identical seeded candidate sequence from
-// the greedy placement.
-func runAnnealMove(ctx context.Context, w Workload, logf func(string, ...any)) (*AnnealMove, error) {
+// RunAnnealMove measures per-move scoring cost on each of the workload's
+// designs: the full re-configuration (core.EvaluateFixed) versus the
+// incremental Session (TryMove/Undo), both over the identical seeded
+// candidate sequence from the greedy placement. Designs whose placement
+// admits no swap are skipped. logf may be nil.
+func RunAnnealMove(ctx context.Context, w Workload, logf func(string, ...any)) (*AnnealMove, error) {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 	p := core.DefaultParams()
 	am := &AnnealMove{
-		Note:  fmt.Sprintf("identical seeded %d-move candidate sequence from the greedy placement, scored by legacy core.EvaluateFixed (full) vs core.Session TryMove/Undo (delta). ns_full/ns_delta are per move.", w.Moves),
+		Note:  fmt.Sprintf("identical seeded %d-move candidate sequence from the greedy placement, scored by core.EvaluateFixed (full) vs core.Session TryMove/Undo (delta). ns_full/ns_delta are per move.", w.Moves),
 		Moves: w.Moves,
 		Seed:  w.Seed,
 	}
@@ -191,13 +179,13 @@ func runAnnealMove(ctx context.Context, w Workload, logf func(string, ...any)) (
 				attached = append(attached, c)
 			}
 		}
-		seq := moveSequence(w.Seed, attached, m.CoreNI, w.Moves)
+		seq := MoveSequence(w.Seed, attached, m.CoreNI, w.Moves)
 		if len(seq) == 0 {
 			continue // no swap neighbours on this placement
 		}
 		cs := make([]int, len(m.CoreSwitch))
 		cn := make([]int, len(m.CoreNI))
-		place := func(mv swapMove) {
+		place := func(mv SwapMove) {
 			copy(cs, m.CoreSwitch)
 			copy(cn, m.CoreNI)
 			cs[mv.X], cs[mv.Y] = cs[mv.Y], cs[mv.X]
@@ -329,69 +317,6 @@ func runEngines(ctx context.Context, w Workload, logf func(string, ...any)) ([]B
 			name, float64(ns)/1e6, res.Mapping.SwitchCount(), res.Stats.MaxLinkUtil*100, lb)
 	}
 	return out, nil
-}
-
-// runSpec compares the serial annealing chain against the speculative one
-// (width w.SpecK) on each design: same seed, same candidate budget. The
-// speculation counters come off the annealer's StageDone progress event.
-func runSpec(ctx context.Context, w Workload, logf func(string, ...any)) (*SpecRuns, error) {
-	p := core.DefaultParams()
-	sp := &SpecRuns{
-		Note:  "serial anneal vs speculative anneal at width k: same seed and candidate budget; cost is the configured weight score (lower is better). speculated/spec_accepted are the batch counters (ratio = hit rate).",
-		K:     w.SpecK,
-		Iters: w.Iters,
-		Seed:  w.Seed,
-	}
-	for _, name := range w.Designs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		prep, numCores, _, err := prepDesign(name, p)
-		if err != nil {
-			return nil, err
-		}
-		run := func(specK int) (*core.Result, search.Counts, time.Duration, error) {
-			opts := search.DefaultOptions()
-			opts.Seed = w.Seed
-			opts.Iters = w.Iters
-			opts.SpecK = specK
-			var counts search.Counts
-			opts.Progress = func(e search.Event) {
-				if e.Stage == search.StageDone {
-					counts = e.Counts
-				}
-			}
-			t0 := time.Now()
-			res, err := (search.Anneal{}).Search(ctx, prep, numCores, p, opts)
-			return res, counts, time.Since(t0), err
-		}
-		serRes, _, serDur, err := run(0)
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s: serial anneal: %w", name, err)
-		}
-		specRes, specCounts, specDur, err := run(w.SpecK)
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s: speculative anneal: %w", name, err)
-		}
-		weights := search.DefaultCostWeights()
-		row := SpecRow{
-			Design:       designLabel(name),
-			NsSerial:     serDur.Nanoseconds(),
-			NsSpec:       specDur.Nanoseconds(),
-			CostSerial:   weights.Of(serRes),
-			CostSpec:     weights.Of(specRes),
-			Switches:     specRes.Mapping.SwitchCount(),
-			MaxUtilPct:   specRes.Stats.MaxLinkUtil * 100,
-			Speculated:   specCounts.Speculated,
-			SpecAccepted: specCounts.SpecAccepted,
-		}
-		sp.Rows = append(sp.Rows, row)
-		logf("spec %s: serial %.1f ms cost %.1f, k=%d %.1f ms cost %.1f (hit rate %d/%d)",
-			row.Design, float64(row.NsSerial)/1e6, row.CostSerial,
-			w.SpecK, float64(row.NsSpec)/1e6, row.CostSpec,
-			row.SpecAccepted, row.Speculated)
-	}
-	return sp, nil
 }
 
 // cpuModel best-effort reads the host CPU model for the record header.

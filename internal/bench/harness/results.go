@@ -8,10 +8,10 @@ import (
 
 // The machine-readable benchmark-record format of the BENCH_*.json files
 // committed at the repository root. Each record snapshots one measurement
-// run: the named Go benchmarks with their reported metrics, the anneal-move
-// throughput table, and (since the speculative evaluator) the speculative
-// annealing measurements. CompareFiles diffs a fresh run against a
-// committed record, which is what the CI regression gate executes.
+// run: the named Go benchmarks with their reported metrics and the
+// anneal-move throughput table. Compare diffs a fresh run against a
+// committed record, which is what the CI regression gate executes. Sections
+// of older records that the format no longer carries are ignored on load.
 
 // File is one benchmark record.
 type File struct {
@@ -23,7 +23,6 @@ type File struct {
 
 	Benchmarks []Benchmark `json:"benchmarks,omitempty"`
 	AnnealMove *AnnealMove `json:"anneal_move,omitempty"`
-	Spec       *SpecRuns   `json:"speculation,omitempty"`
 }
 
 // Benchmark is one named benchmark result. Metrics holds the benchmark's
@@ -106,33 +105,6 @@ type AnnealMoveRow struct {
 	NsFull  int64   `json:"ns_full"`
 	NsDelta int64   `json:"ns_delta"`
 	Speedup float64 `json:"speedup"`
-}
-
-// SpecRuns records speculative annealing engine runs: wall-clock and
-// speculation counters per design at a fixed width K, next to the serial
-// run of the same seed and iteration budget.
-type SpecRuns struct {
-	Note  string    `json:"note,omitempty"`
-	K     int       `json:"k"`
-	Iters int       `json:"iters"`
-	Seed  int64     `json:"seed"`
-	Rows  []SpecRow `json:"rows"`
-}
-
-// SpecRow is one design's serial-versus-speculative engine comparison. The
-// quality metrics (switches, max utilization) let the regression gate
-// verify the speculative run still lands on a feasible result of the
-// expected class.
-type SpecRow struct {
-	Design       string  `json:"design"`
-	NsSerial     int64   `json:"ns_serial"`
-	NsSpec       int64   `json:"ns_spec"`
-	CostSerial   float64 `json:"cost_serial"`
-	CostSpec     float64 `json:"cost_spec"`
-	Switches     int     `json:"switches"`
-	MaxUtilPct   float64 `json:"max_util_pct"`
-	Speculated   int64   `json:"speculated"`
-	SpecAccepted int64   `json:"spec_accepted"`
 }
 
 // ReadFile loads a benchmark record.

@@ -44,8 +44,8 @@ import (
 //
 // A Session is single-owner mutable state, like tdma.State: concurrent
 // searches each own one (the evaluator underneath is shared). Clone forks
-// an independent session at the same configuration — the speculative batch
-// loop evaluates one candidate per clone concurrently.
+// an independent session at the same configuration — the population
+// engines seed every member of a population as one clone of the base.
 type Session struct {
 	ev *Evaluator
 
@@ -262,8 +262,9 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 // Clone forks an independent session at the same committed configuration:
 // same placement, same reservations, same statistics, disjoint mutable
 // state. The clones share only the immutable evaluator underneath, so each
-// can run its own move loop concurrently — the speculative batch evaluator
-// scores one candidate per clone. Cloning with a pending move is an error.
+// runs its own move loop — the population driver clones the base session
+// once per member and then moves every member independently. Cloning with
+// a pending move is an error.
 func (s *Session) Clone() (*Session, error) {
 	if s.pending {
 		return nil, errPendingMove

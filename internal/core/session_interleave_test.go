@@ -1,8 +1,8 @@
-// Regression tests for Keep/Undo sequencing across cloned sessions — the
-// audit of the speculative batch protocol: several clones of one session
-// try moves concurrently-in-spirit (here in a deterministic interleaving),
-// one winner Keeps, the losers Undo, and a failed TryMove in the middle of
-// a batch must leave its session byte-equivalent to never having tried.
+// Regression tests for Keep/Undo sequencing across cloned sessions, the
+// pattern the population engines rely on: several clones of one base
+// session (the members of a population) try moves in an interleaving,
+// some Keep, the others Undo, and a failed TryMove in the middle of a
+// round must leave its session byte-equivalent to never having tried.
 // Every committed state is cross-checked against core.EvaluateFixed, the
 // from-scratch oracle.
 package core_test
@@ -83,11 +83,11 @@ func applySwap(sess *core.Session, x, y int) (cs, cn []int) {
 	return cs, cn
 }
 
-// TestSessionCloneInterleavedKeepUndo replays the speculative batch
-// protocol deterministically: per round, every cloned session tries the
-// same batch of candidates (one each), exactly one Keeps and the others
-// Undo, then the losers replay the winner's move so the cohort stays in
-// lockstep. After every round each session's stats must match the
+// TestSessionCloneInterleavedKeepUndo drives a cohort of clones through
+// deterministically interleaved moves: per round, every cloned session
+// tries one of the same batch of candidates, exactly one Keeps and the
+// others Undo, then the losers replay the winner's move so the cohort
+// stays in lockstep. After every round each session's stats must match the
 // from-scratch oracle of its own placement, and the whole cohort must
 // agree with each other.
 func TestSessionCloneInterleavedKeepUndo(t *testing.T) {

@@ -120,15 +120,6 @@ func (a *annealer) run(ctx context.Context, base *core.Result) {
 		if ctx.Err() != nil {
 			return
 		}
-		// Adopt a better incumbent from the portfolio's exchange before
-		// committing restart effort: a mesh size some other member already
-		// beat is not worth probing, and the adopted result seeds the
-		// remaining search from the pool's best placement.
-		if a.opts.Board != nil {
-			if res, cost, ok := a.opts.Board.Best(); ok && cost < a.bestCost-1e-12 {
-				a.best, a.bestCost = res, cost
-			}
-		}
 		if dim.Switches() >= a.best.Mapping.SwitchCount() {
 			continue
 		}
@@ -189,25 +180,12 @@ func (a *annealer) feasibleStart(ctx context.Context, dim topology.Dim, attached
 	if len(attached) > len(seats) {
 		return nil // not enough seats: the probe cannot host every core
 	}
-	if a.opts.SpecK > 1 {
-		return a.feasibleStartSpec(ctx, ev, seats, attached)
-	}
 	for r := 0; r < a.opts.Restarts; r++ {
 		if ctx.Err() != nil {
 			return nil
 		}
 		a.counts.Restarts++
-		a.rng.Shuffle(len(seats), func(i, j int) { seats[i], seats[j] = seats[j], seats[i] })
-		cs := make([]int, a.numCores)
-		cn := make([]int, a.numCores)
-		for i := range cs {
-			cs[i], cn[i] = -1, -1
-		}
-		for i, c := range attached {
-			cn[c] = seats[i]
-			cs[c] = seats[i] / a.p.NIsPerSwitch
-		}
-		res, err := ev.Evaluate(cs, cn)
+		res, err := ev.Evaluate(a.shuffledPlacement(seats, attached))
 		if err == nil {
 			return res
 		}
@@ -216,8 +194,7 @@ func (a *annealer) feasibleStart(ctx context.Context, dim topology.Dim, attached
 }
 
 // shuffledPlacement draws one random placement of the attached cores over
-// the shuffled seats (the serial restart probe's body, factored out so the
-// speculative prober generates identical candidates from the chain PRNG).
+// the shuffled seats; unattached cores stay at -1.
 func (a *annealer) shuffledPlacement(seats []int, attached []int) (cs, cn []int) {
 	a.rng.Shuffle(len(seats), func(i, j int) { seats[i], seats[j] = seats[j], seats[i] })
 	cs = make([]int, a.numCores)
@@ -263,10 +240,6 @@ func (a *annealer) annealFrom(ctx context.Context, start *core.Result) {
 	// that over the run.
 	t0 := 0.05*curCost + 1e-9
 	alpha := math.Pow(1e-3, 1/float64(a.opts.Iters))
-	if a.opts.SpecK > 1 {
-		a.annealBatch(ctx, sess, switches, attached, curCost, t0, alpha)
-		return
-	}
 	temp := t0
 	for it := 0; it < a.opts.Iters; it++ {
 		if ctx.Err() != nil {
@@ -365,9 +338,6 @@ func (a *annealer) propose(sess *core.Session, numNIs int, attached []int) (core
 func (a *annealer) consider(r *core.Result) {
 	if c := a.opts.Weights.Of(r); c < a.bestCost-1e-12 {
 		a.best, a.bestCost = r, c
-		if a.opts.Board != nil {
-			a.opts.Board.Publish(r, c)
-		}
 		a.opts.emitCounts("anneal", StageImproved, r, a.counts)
 	}
 }

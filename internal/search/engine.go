@@ -7,7 +7,7 @@
 //
 //   - greedy:    the paper's Algorithm 2, unchanged (core.Map).
 //   - anneal:    simulated annealing over core placements, re-routing and
-//     re-reserving slots for every candidate via core.EvaluateFixed,
+//     re-reserving slots for the moved cores' flows via core.Session,
 //     including attempts to shrink below the greedy mesh size.
 //   - portfolio: a parallel multi-start portfolio that races the greedy
 //     engine against N deterministically-seeded annealers under a shared
@@ -61,17 +61,6 @@ type Options struct {
 	Workers int
 	// Iters is the number of annealing moves per start.
 	Iters int
-	// SpecK enables speculative move evaluation: each annealing step
-	// proposes SpecK candidate moves of the current placement and scores
-	// them concurrently, one per cloned evaluation session, accepting the
-	// best improving candidate (with a Metropolis draw on the least-bad one
-	// when nothing improves). Iters still counts candidate evaluations, so
-	// runs at different SpecK spend comparable search effort. 0 and 1 run
-	// the serial chain — the speculative path is never entered, and results
-	// are identical to previous releases. Values above 64 are rejected:
-	// past that the replay synchronization outweighs any conceivable core
-	// count.
-	SpecK int
 	// Restarts is how many random placements the annealer tries per
 	// smaller-than-greedy mesh size when probing for a feasible start.
 	Restarts int
@@ -107,13 +96,6 @@ type Options struct {
 	// precomputation (validation, flow templates, candidate-path tables)
 	// happens once across the whole pool.
 	evals *EvalCache
-	// Board, when set, is a shared incumbent exchange: engines publish
-	// strict improvements and may adopt better incumbents between phases.
-	// The portfolio wires one up for its members when SpecK > 1 — the
-	// exchange makes member results depend on scheduling, which the serial
-	// portfolio's determinism guarantee forbids. It is exported so engine
-	// subpackages (population, exact) publish to the same board when raced.
-	Board *IncumbentBoard
 }
 
 // DefaultOptions returns the evaluation defaults: a modest annealing length
@@ -141,8 +123,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("search: budget %v invalid", o.Budget)
 	case o.Workers < 0:
 		return fmt.Errorf("search: workers %d invalid", o.Workers)
-	case o.SpecK < 0 || o.SpecK > 64:
-		return fmt.Errorf("search: speculation width %d invalid (want 0..64)", o.SpecK)
 	case o.Population < 0:
 		return fmt.Errorf("search: population %d invalid", o.Population)
 	case o.Generations < 0:

@@ -16,9 +16,8 @@
 // single seeded PRNG and candidates are generated and scored serially, so a
 // fixed Options.Seed reproduces the run bit for bit.
 //
-// Strict incumbent improvements are published to Options.Board when a
-// shared exchange is wired up, and every improvement emits one
-// StageImproved progress event — the same contract the annealer follows.
+// Every strict incumbent improvement emits one StageImproved progress
+// event — the same contract the annealer follows.
 package population
 
 import (
@@ -137,13 +136,6 @@ func run(ctx context.Context, e evolver, name string, prep *usecase.Prepared,
 		if ctx.Err() != nil {
 			break
 		}
-		// Adopt a better incumbent from a shared exchange before committing
-		// restart effort — same pruning the annealer applies.
-		if d.opts.Board != nil {
-			if res, cost, ok := d.opts.Board.Best(); ok && cost < d.bestCost-1e-12 {
-				d.best, d.bestCost = res, cost
-			}
-		}
 		if dim.Switches() >= d.best.Mapping.SwitchCount() {
 			continue
 		}
@@ -208,13 +200,10 @@ func (d *driver) ensureScratch(numNIs int) {
 }
 
 // consider updates the incumbent when the candidate scores strictly better,
-// publishing to the shared board and emitting one StageImproved event.
+// emitting one StageImproved event.
 func (d *driver) consider(r *core.Result) {
 	if c := d.opts.Weights.Of(r); c < d.bestCost-1e-12 {
 		d.best, d.bestCost = r, c
-		if d.opts.Board != nil {
-			d.opts.Board.Publish(r, c)
-		}
 		d.opts.Emit(d.name, search.StageImproved, r, d.counts)
 	}
 }

@@ -66,18 +66,6 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 	// candidate-path tables) is paid once for the whole pool instead of
 	// once per member.
 	evals := NewEvalCache(prep, numCores, p)
-	// With speculation on, members collaborate through a shared incumbent
-	// exchange: strict improvements are published as they happen, and each
-	// member adopts the pool's best before probing smaller fabrics, so
-	// restarts seed from good placements instead of re-exploring sizes the
-	// pool already beat. The exchange trades the serial portfolio's
-	// scheduling-independence for cross-member pruning, so it is wired up
-	// only when the caller opted into speculation.
-	var board *IncumbentBoard
-	if opts.SpecK > 1 {
-		board = &IncumbentBoard{}
-		board.Publish(base, opts.Weights.Of(base))
-	}
 	var jobs []job
 	for i := 0; i < opts.Seeds; i++ {
 		o := opts
@@ -85,7 +73,6 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 		o.Seed = opts.Seed + int64(i)*7919 // distinct deterministic streams
 		o.base = base
 		o.evals = evals
-		o.Board = board
 		jobs = append(jobs, job{order: i + 1, engine: Anneal{}, opts: o})
 	}
 

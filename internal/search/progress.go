@@ -76,16 +76,11 @@ type Event struct {
 // Counts are cumulative search-effort counters for one engine run: candidate
 // placements evaluated (Moves), candidates kept by the acceptance rule
 // (Accepted), and random-restart placements probed on shrunk fabrics
-// (Restarts). Speculative runs (Options.SpecK > 1) additionally report the
-// candidates evaluated in speculative batches (Speculated) and the batches
-// that committed a candidate (SpecAccepted) — their ratio is the
-// speculation hit rate.
+// (Restarts).
 type Counts struct {
-	Moves        int64 `json:"moves,omitempty"`
-	Accepted     int64 `json:"accepted,omitempty"`
-	Restarts     int64 `json:"restarts,omitempty"`
-	Speculated   int64 `json:"speculated,omitempty"`
-	SpecAccepted int64 `json:"spec_accepted,omitempty"`
+	Moves    int64 `json:"moves,omitempty"`
+	Accepted int64 `json:"accepted,omitempty"`
+	Restarts int64 `json:"restarts,omitempty"`
 }
 
 // emit delivers an event for the given result when a progress callback is

@@ -50,17 +50,17 @@ type MapRequest struct {
 	// TimeoutMS bounds the engine run, measured from when a worker picks
 	// the job up; time spent waiting in the queue does not count.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Async makes POST /map return a job ID immediately (HTTP 202) instead
-	// of the result; poll GET /jobs/{id} for completion.
+	// Async makes POST /v1/map return a job ID immediately (HTTP 202) instead
+	// of the result; poll GET /v1/jobs/{id} for completion.
 	Async bool `json:"async,omitempty"`
 	// Mode selects the answer discipline. "stream" serves-then-improves:
 	// the greedy result is computed inline and returned with HTTP 202 in
 	// milliseconds while the requested engine keeps improving in the
-	// background; incumbent improvements arrive on GET /jobs/{id}/events
+	// background; incumbent improvements arrive on GET /v1/jobs/{id}/events
 	// (SSE, or long-poll with ?mode=poll). Empty (or "sync") keeps the
 	// blocking behavior. Mode and Async are mutually exclusive.
 	Mode string `json:"mode,omitempty"`
-	// WaitMS, with the stream mode, bounds how long POST /map waits for the
+	// WaitMS, with the stream mode, bounds how long POST /v1/map waits for the
 	// background improvement before answering with the best incumbent so
 	// far — the "pay only for the quality you wait for" knob. WaitMS alone
 	// (no Mode) implies stream mode.
@@ -144,12 +144,12 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 	return req, nil
 }
 
-// BatchRequest is the wire form of POST /batch.
+// BatchRequest is the wire form of POST /v1/batch.
 type BatchRequest struct {
 	Requests []MapRequest `json:"requests"`
 }
 
-// BatchResponse is the wire form of the POST /batch reply; Results is in
+// BatchResponse is the wire form of the POST /v1/batch reply; Results is in
 // request order.
 type BatchResponse struct {
 	Results []BatchResult `json:"results"`
@@ -185,11 +185,7 @@ type BatchResult struct {
 // response and stamped into job records), counted in
 // noc_http_requests_total{route,status}, timed into
 // noc_http_request_duration_seconds{route}, and logged structurally.
-//
-// The pre-/v1 routes (POST /map, POST /batch, GET /jobs/{id}, GET /stats)
-// remain mounted as thin deprecated aliases of their /v1 equivalents; they
-// answer identically (and count under their /v1 route label) but carry a
-// Deprecation header and a Link to the successor route.
+// Unversioned paths other than /healthz answer 404.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	// instrument wraps a handler with the observability middleware. route is
@@ -214,18 +210,9 @@ func NewHandler(s *Service) http.Handler {
 				"duration_ms", ms(elapsed))
 		}
 	}
-	// handle mounts one route at its /v1 home and as a deprecated legacy
-	// alias at the original unversioned path. The Link header names the
-	// request's actual successor URL (path parameters substituted), so
-	// following it lands on the equivalent /v1 resource.
+	// handle mounts one instrumented route under /v1.
 	handle := func(method, path string, h http.HandlerFunc) {
-		ih := instrument("/v1"+path, h)
-		mux.HandleFunc(method+" /v1"+path, ih)
-		mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "</v1"+r.URL.Path+">; rel=\"successor-version\"")
-			ih(w, r)
-		})
+		mux.HandleFunc(method+" /v1"+path, instrument("/v1"+path, h))
 	}
 
 	handle("POST", "/map", func(w http.ResponseWriter, r *http.Request) {
@@ -336,10 +323,9 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 
-	// /v1/designs is post-versioning surface: it mounts under /v1 only, no
-	// legacy alias. It is also the peer-forwarding path of a sharded store —
+	// /v1/designs is also the peer-forwarding path of a sharded store —
 	// replicas resolve foreign digests against their owner here.
-	mux.HandleFunc("GET /v1/designs/{digest}", instrument("/v1/designs/{digest}", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/designs/{digest}", func(w http.ResponseWriter, r *http.Request) {
 		digest := r.PathValue("digest")
 		resp, ok := s.Design(r.Context(), digest)
 		if !ok {
@@ -347,16 +333,16 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
-	}))
+	})
 
-	mux.HandleFunc("GET /v1/version", instrument("/v1/version", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, BuildVersion())
-	}))
+	})
 
 	metricsHandler := s.Metrics().Handler()
-	mux.HandleFunc("GET /v1/metrics", instrument("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
 		metricsHandler.ServeHTTP(w, r)
-	}))
+	})
 
 	mux.HandleFunc("GET /healthz", instrument("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, healthResponse{

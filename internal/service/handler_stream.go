@@ -34,7 +34,7 @@ const (
 	maxPollWait     = 60 * time.Second
 )
 
-// serveJobEvents implements GET /jobs/{id}/events for both disciplines.
+// serveJobEvents implements GET /v1/jobs/{id}/events for both disciplines.
 func serveJobEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.Job(id); !ok {

@@ -76,7 +76,7 @@ func TestServerMapD1AllEngines(t *testing.T) {
 	small := 20 // keep the metaheuristic engines interactive under -race
 	seeds := 2
 	for _, engine := range []string{"greedy", "anneal", "portfolio"} {
-		httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{
+		httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{
 			Design: design, Engine: engine, Iters: &small, Seeds: &seeds,
 		})
 		if httpResp.StatusCode != http.StatusOK {
@@ -101,7 +101,7 @@ func TestServerMapD1AllEngines(t *testing.T) {
 	}
 
 	// The repeat of the greedy request must be served from the cache …
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{
+	httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{
 		Design: design, Engine: "greedy", Iters: &small, Seeds: &seeds,
 	})
 	if httpResp.StatusCode != http.StatusOK {
@@ -117,7 +117,7 @@ func TestServerMapD1AllEngines(t *testing.T) {
 
 	// … and the counters must say so: three engine runs, one hit.
 	var st Stats
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("GET /stats: HTTP %d", code)
 	}
 	if st.CacheMisses != 3 || st.CacheHits != 1 || st.JobsDone != 3 {
@@ -129,7 +129,7 @@ func TestServerMapD1AllEngines(t *testing.T) {
 func TestServerAsyncJob(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{
+	httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{
 		Design: d1JSON(t), Engine: "greedy", Async: true,
 	})
 	if httpResp.StatusCode != http.StatusAccepted {
@@ -145,7 +145,7 @@ func TestServerAsyncJob(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if code := getJSON(t, ts.URL+"/jobs/"+job.ID, &job); code != http.StatusOK {
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+job.ID, &job); code != http.StatusOK {
 			t.Fatalf("GET /jobs/%s: HTTP %d", job.ID, code)
 		}
 		if job.State == StateDone || job.State == StateFailed {
@@ -177,7 +177,7 @@ func TestServerBatch(t *testing.T) {
 	freq := 300.0
 	br.Requests = append(br.Requests, MapRequest{Design: design, Engine: "greedy", FreqMHz: &freq})
 
-	httpResp, body := postJSON(t, ts.URL+"/batch", br)
+	httpResp, body := postJSON(t, ts.URL+"/v1/batch", br)
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /batch: HTTP %d: %s", httpResp.StatusCode, body)
 	}
@@ -200,7 +200,7 @@ func TestServerBatch(t *testing.T) {
 		t.Error("different-frequency request shares the duplicates' key")
 	}
 	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
+	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.JobsDone != 2 {
 		t.Errorf("batch of 4 (3 identical) cost %d engine runs, want 2", st.JobsDone)
 	}
@@ -221,7 +221,7 @@ func TestServerErrorPaths(t *testing.T) {
 		{"invalid design", `{"design":{"name":"x","num_cores":0,"use_cases":[]}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		resp, err := http.Post(ts.URL+"/map", "application/json", bytes.NewReader([]byte(c.body)))
+		resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader([]byte(c.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestServerErrorPaths(t *testing.T) {
 		}
 	}
 
-	if code := getJSON(t, ts.URL+"/jobs/j404", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/v1/jobs/j404", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: HTTP %d, want 404", code)
 	}
 	var health healthResponse
@@ -248,7 +248,7 @@ func TestServerErrorPaths(t *testing.T) {
 		`{"src":0,"dst":1,"bandwidth_mbs":10},{"src":2,"dst":3,"bandwidth_mbs":10},` +
 		`{"src":4,"dst":5,"bandwidth_mbs":10},{"src":6,"dst":7,"bandwidth_mbs":10},` +
 		`{"src":8,"dst":9,"bandwidth_mbs":10}]}]},"max_dim":1}`
-	resp, err := http.Post(ts.URL+"/map", "application/json", bytes.NewReader([]byte(infeasible)))
+	resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader([]byte(infeasible)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestServerMapTopologyField(t *testing.T) {
 
 	var keys []string
 	for _, topo := range []string{"", "torus"} {
-		httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{Design: design, Topology: topo})
+		httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{Design: design, Topology: topo})
 		if httpResp.StatusCode != http.StatusOK {
 			t.Fatalf("topology %q: HTTP %d: %s", topo, httpResp.StatusCode, body)
 		}
@@ -284,7 +284,7 @@ func TestServerMapTopologyField(t *testing.T) {
 		t.Errorf("mesh and torus requests share cache key %s", keys[0])
 	}
 
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{Design: design, Topology: "hypercube"})
+	httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{Design: design, Topology: "hypercube"})
 	if httpResp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown topology: HTTP %d: %s", httpResp.StatusCode, body)
 	}
@@ -308,7 +308,7 @@ func TestServerDesignTopologyTag(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{Design: taggedRaw})
+	httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{Design: taggedRaw})
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("tagged design: HTTP %d: %s", httpResp.StatusCode, body)
 	}
@@ -316,7 +316,7 @@ func TestServerDesignTopologyTag(t *testing.T) {
 	if err := json.Unmarshal(body, &torusResp); err != nil {
 		t.Fatal(err)
 	}
-	_, meshBody := postJSON(t, ts.URL+"/map", MapRequest{Design: design})
+	_, meshBody := postJSON(t, ts.URL+"/v1/map", MapRequest{Design: design})
 	var meshResp Response
 	if err := json.Unmarshal(meshBody, &meshResp); err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ func TestCacheHitDeterminism(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 1 || st.JobsDone != 1 || st.CacheEntries != 1 {
+	if st.CacheHits != 1 || st.CacheMisses != 1 || st.JobsDone != 1 || st.StoreEntries != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 done / 1 entry", st)
 	}
 }

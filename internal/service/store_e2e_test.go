@@ -37,7 +37,7 @@ func TestDiskStoreSurvivesServiceRestart(t *testing.T) {
 	if first.Cached {
 		t.Error("first request reported as cached")
 	}
-	if st := s1.Stats(); st.StoreBackend != "disk" || st.StoreEntries != 1 || st.CacheEntries != 1 {
+	if st := s1.Stats(); st.StoreBackend != "disk" || st.StoreEntries != 1 {
 		t.Errorf("stats after map = %+v, want disk backend with 1 entry", st)
 	}
 	s1.Close() // the "crash": the process goes away, the directory stays
@@ -137,9 +137,9 @@ func TestDesignsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsReportsStoreBackend pins the /v1/stats satellite: the new
-// store_backend/store_entries keys and the legacy cache_entries alias carry
-// the same entry count.
+// TestStatsReportsStoreBackend pins the /v1/stats store keys:
+// store_backend and store_entries report the backend and its entry count,
+// and the retired cache_entries alias is gone.
 func TestStatsReportsStoreBackend(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -155,7 +155,10 @@ func TestStatsReportsStoreBackend(t *testing.T) {
 	if got["store_backend"] != "memory" {
 		t.Errorf("store_backend = %v, want memory", got["store_backend"])
 	}
-	if got["store_entries"] != float64(1) || got["cache_entries"] != float64(1) {
-		t.Errorf("store_entries = %v, cache_entries = %v, want both 1", got["store_entries"], got["cache_entries"])
+	if got["store_entries"] != float64(1) {
+		t.Errorf("store_entries = %v, want 1", got["store_entries"])
+	}
+	if v, ok := got["cache_entries"]; ok {
+		t.Errorf("cache_entries = %v present, want the alias absent", v)
 	}
 }

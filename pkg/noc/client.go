@@ -176,7 +176,7 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 
 // BuildMapRequest translates a design plus options into the wire form of
 // POST /v1/map. Local-only options (WithProgress, WithWeights, WithParams,
-// WithWorkers, WithRestarts, WithSpeculation) and custom fabrics are
+// WithWorkers, WithRestarts) and custom fabrics are
 // rejected: the service computes with its own configuration so results stay
 // cacheable across callers.
 func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
@@ -193,8 +193,6 @@ func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 		return mr, fmt.Errorf("noc: WithWorkers is local-only; the service sizes its own pool")
 	case cfg.restarts != nil:
 		return mr, fmt.Errorf("noc: WithRestarts is local-only; the service runs with its default restart count")
-	case cfg.speculate != nil:
-		return mr, fmt.Errorf("noc: WithSpeculation is local-only; the service sizes its own concurrency")
 	case strings.HasPrefix(cfg.topology, "@"):
 		return mr, fmt.Errorf("noc: custom fabrics (%s) carry their link lists and run locally; use Map instead", cfg.topology)
 	}

@@ -130,17 +130,11 @@ func TestClientV1EndToEnd(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesAliasV1 pins the deprecation contract: the pre-/v1 routes
-// answer identically to their /v1 homes and advertise the successor.
-func TestLegacyRoutesAliasV1(t *testing.T) {
-	client, ts := newTestDaemon(t)
-	ctx := context.Background()
-	d := fig5Design(t)
-	if _, err := client.Map(ctx, d); err != nil {
-		t.Fatal(err)
-	}
-
-	mr, err := noc.BuildMapRequest(d)
+// TestLegacyRoutesGone pins the retirement of the pre-/v1 aliases: the
+// unversioned paths answer 404 while the same request on /v1 succeeds.
+func TestLegacyRoutesGone(t *testing.T) {
+	_, ts := newTestDaemon(t)
+	mr, err := noc.BuildMapRequest(fig5Design(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +142,13 @@ func TestLegacyRoutesAliasV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	for _, route := range []struct{ method, path string }{
 		{"POST", "/map"},
+		{"POST", "/batch"},
 		{"GET", "/stats"},
 		{"GET", "/jobs/j1"},
+		{"GET", "/jobs/j1/events"},
+		{"POST", "/v1/map"},
 	} {
 		var resp *http.Response
 		var err error
@@ -166,39 +162,13 @@ func TestLegacyRoutesAliasV1(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.Header.Get("Deprecation") == "" {
-			t.Errorf("legacy %s %s carries no Deprecation header", route.method, route.path)
+		want := http.StatusNotFound
+		if strings.HasPrefix(route.path, "/v1/") {
+			want = http.StatusOK
 		}
-		// The Link target is the request's actual successor URL — path
-		// parameters substituted, so following it lands on the resource.
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "</v1"+route.path+">") {
-			t.Errorf("legacy %s %s Link = %q, want </v1%s>", route.method, route.path, link, route.path)
+		if resp.StatusCode != want {
+			t.Errorf("%s %s = %d, want %d", route.method, route.path, resp.StatusCode, want)
 		}
-	}
-
-	// The legacy map answer matches /v1/map byte for byte (cache verdict
-	// aside, both are hits by now).
-	legacy, err := http.Post(ts.URL+"/map", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Body.Close()
-	var viaLegacy, viaV1 noc.MapResponse
-	if err := json.NewDecoder(legacy.Body).Decode(&viaLegacy); err != nil {
-		t.Fatal(err)
-	}
-	v1resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1resp.Body.Close()
-	if err := json.NewDecoder(v1resp.Body).Decode(&viaV1); err != nil {
-		t.Fatal(err)
-	}
-	lj, _ := json.Marshal(viaLegacy)
-	vj, _ := json.Marshal(viaV1)
-	if !bytes.Equal(lj, vj) {
-		t.Errorf("legacy and /v1 answers diverge:\n%s\nvs\n%s", lj, vj)
 	}
 }
 

@@ -38,7 +38,6 @@ type config struct {
 	weightsSet bool
 	workers    *int
 	restarts   *int
-	speculate  *int
 }
 
 func newConfig(opts []Option) *config {
@@ -149,16 +148,6 @@ func WithBudget(d time.Duration) Option {
 // goroutine per member). Local mapping only.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.opts.Workers = n; c.workers = &n }
-}
-
-// WithSpeculation sets the speculative evaluation width of the annealing
-// engines: each step proposes k candidate moves and scores them
-// concurrently on cloned evaluation sessions, accepting the best improving
-// one. 0 and 1 keep the serial chain (and its exact results); widths above
-// the machine's core count add synchronization without extra throughput.
-// Local mapping only: the service sizes its own concurrency.
-func WithSpeculation(k int) Option {
-	return func(c *config) { c.opts.SpecK = k; c.speculate = &k }
 }
 
 // WithWeights replaces the cost weights scoring candidate mappings. Local

@@ -30,8 +30,7 @@ func NewServer(cfg ServerConfig) *Server {
 }
 
 // Handler returns the HTTP facade: /v1/map, /v1/batch, /v1/jobs/{id},
-// /v1/designs/{digest}, /v1/stats, /v1/metrics, /v1/version, /healthz,
-// plus the deprecated unversioned aliases.
+// /v1/designs/{digest}, /v1/stats, /v1/metrics, /v1/version and /healthz.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Stats reads the pool and cache gauges.
