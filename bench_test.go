@@ -10,12 +10,14 @@ package nocmap_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"nocmap/internal/bench"
 	"nocmap/internal/core"
 	"nocmap/internal/experiments"
 	"nocmap/internal/search"
+	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
 )
 
@@ -286,4 +288,51 @@ func itoa(v int) string {
 		buf[i] = '-'
 	}
 	return string(buf[i:])
+}
+
+// BenchmarkGreedySweep measures the greedy growth loop (core.Map) over the
+// greedy-path design mix: D1-D4 plus Spread and Bottleneck synthetics with
+// 2-20 use-cases at three seeds each, 118 designs. One op maps every
+// design once; allocs/design is the per-design allocation count.
+func BenchmarkGreedySweep(b *testing.B) {
+	type design struct {
+		prep     *usecase.Prepared
+		numCores int
+	}
+	var ds []design
+	add := func(d *traffic.Design, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		prep, err := usecase.Prepare(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds = append(ds, design{prep, d.NumCores()})
+	}
+	for _, name := range []string{"D1", "D2", "D3", "D4"} {
+		add(bench.ByName(name))
+	}
+	for _, c := range []bench.Class{bench.Spread, bench.Bottleneck} {
+		for uc := 2; uc <= 20; uc++ {
+			for seed := int64(1); seed <= 3; seed++ {
+				add(bench.Synthetic(c.SpecFor(uc, seed)))
+			}
+		}
+	}
+	p := core.DefaultParams()
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range ds {
+			if _, err := core.Map(d.prep, d.numCores, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*len(ds)), "allocs/design")
 }

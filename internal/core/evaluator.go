@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"nocmap/internal/route"
@@ -13,72 +14,33 @@ import (
 )
 
 // Evaluator is the reusable evaluation engine for one (prepared design,
-// topology, params) triple. The one-shot entry points (Map, EvaluateFixed)
-// re-validate the inputs, rebuild the bandwidth-sorted flow work list and
-// reallocate every group's TDMA slot tables on every call; a search engine
-// scoring thousands of candidate placements on the same fabric pays that
-// fixed cost per candidate. The Evaluator pays it once:
+// topology, params) triple. The one-shot EvaluateFixed re-validates the
+// inputs and rebuilds every table on each call; a search engine scoring
+// thousands of candidate placements pays that fixed cost per candidate. The
+// Evaluator pays it once, in two layers:
 //
-//   - inputs (params, use-cases, topology) are validated at construction;
-//   - the flow work list, per-pair routing plans (group order, reservation
-//     bandwidth and latency) and NI demand projections are precomputed;
-//   - candidate mesh paths are cached per switch pair (route.Table);
-//   - TDMA states and flow lists live in a scratch arena that is reset
-//     between evaluations instead of reallocated.
+//   - the design tables (inputs validated; the bandwidth-sorted flow work
+//     list; per-pair routing plans with group order, reservation size,
+//     bandwidth and latency; NI demand projections) depend only on the
+//     use-cases and params. They are built once per design and shared by
+//     every evaluator derived from them: Map's growth loop derives one per
+//     attempted mesh size, and a search's EvalCache one per fabric it
+//     probes (through ForTopology);
+//   - the per-topology part caches candidate mesh paths per switch pair
+//     (route.Table) and keeps TDMA states and flow lists in a scratch arena
+//     that is reset between evaluations instead of reallocated.
 //
 // An Evaluator is immutable after construction and safe for concurrent use:
 // every Evaluate call draws its mutable state from an internal pool, so the
 // portfolio's workers share one Evaluator (and its precomputation) per
 // topology. Delta evaluation of single moves is layered on top via Session.
 type Evaluator struct {
-	prep     *usecase.Prepared
-	numCores int
-	top      *topology.Topology
-	p        Params
+	*designTables
+
+	top *topology.Topology
 
 	meshLinks  int
 	totalLinks int
-
-	// flowsTpl is the bandwidth-sorted global flow list (Algorithm 2 step
-	// 2); evaluations copy it instead of re-sorting.
-	flowsTpl []flowInst
-	// byPair indexes flowsTpl by directed core pair.
-	byPair map[traffic.PairKey][]int
-	// pairList holds the distinct pairs in first-occurrence (descending
-	// bandwidth) order — the order the fully-fixed configuration phase
-	// routes them in.
-	pairList []traffic.PairKey
-	// plans precomputes, per pair, everything the routing step derives from
-	// the flow list alone: the group order and each group's reservation
-	// size and latency bound.
-	plans map[traffic.PairKey]*pairPlan
-	// pairSlots caches, per group and pair, the slot demand of the group's
-	// heaviest same-pair flow (immutable; evaluations read it).
-	pairSlots []map[traffic.PairKey]int
-	// remOutTpl/remInTpl are the initial per-group, per-core not-yet-routed
-	// slot demands; partial-placement evaluations copy and consume them.
-	remOutTpl, remInTpl [][]int
-	// active lists the cores that appear in at least one flow.
-	active []int
-	// groupPairs lists, per group, its pairs with their bandwidth-driven
-	// slot demand (pairSlots flattened for cheap deterministic iteration in
-	// the session's capacity prechecks).
-	groupPairs [][]pairDemand
-	// ucPairs lists, per use-case, its distinct pairs with the flow
-	// bandwidth — the iteration computeStats performs over Config maps,
-	// precomputed so sessions can recompute stats without building Configs.
-	ucPairs [][]ucPairStat
-
-	// Dense pair indexing for the session hot path: pairIdx numbers the
-	// distinct pairs in pairList order, planOf mirrors plans by that index,
-	// pairsOf lists per core the (ascending) indices of the pairs touching
-	// it, and ucPairIdx mirrors ucPairs as indices. Together they let a move
-	// evaluation find and walk its affected pairs with array indexing where
-	// the one-shot path uses map lookups.
-	pairIdx   map[traffic.PairKey]int32
-	planOf    []*pairPlan
-	pairsOf   [][]int32
-	ucPairIdx [][]int32
 
 	// paths caches candidate mesh paths per switch pair.
 	paths *route.Table
@@ -86,14 +48,58 @@ type Evaluator struct {
 	pool sync.Pool // *evalScratch
 }
 
+// designTables is the topology-independent precomputation of one (prepared
+// design, params) pair: Algorithm 2's flow ordering and per-pair reservation
+// plans. It is immutable once built and shared by every Evaluator derived
+// from it.
+type designTables struct {
+	prep     *usecase.Prepared
+	numCores int
+	p        Params
+
+	// flowsTpl is the bandwidth-sorted global flow list (Algorithm 2 step
+	// 2); evaluations copy it instead of re-sorting.
+	flowsTpl []flowInst
+	// pairList holds the distinct pairs in first-occurrence (descending
+	// bandwidth) order — the order the fully-fixed configuration phase
+	// routes them in.
+	pairList []traffic.PairKey
+	// remOutTpl/remInTpl are the initial per-group, per-core not-yet-routed
+	// slot demands; partial-placement evaluations copy and consume them.
+	remOutTpl, remInTpl [][]int
+	// active lists the cores that appear in at least one flow, ascending.
+	active []int
+	// groupPairs lists, per group, its pairs with their bandwidth-driven
+	// slot demand (the plans regrouped for cheap deterministic iteration in
+	// the session's capacity prechecks).
+	groupPairs [][]pairDemand
+	// ucPairs lists, per use-case, its distinct pairs with the flow
+	// bandwidth — the iteration computeStats performs over Config maps,
+	// precomputed so sessions can recompute stats without building Configs.
+	ucPairs [][]ucPairStat
+
+	// Dense pair indexing: pairIdx numbers the distinct pairs in pairList
+	// order (flowInst.pair carries the same index), planOf holds each
+	// pair's routing plan, pairsOf lists per core the (ascending) indices of
+	// the pairs touching it, and ucPairIdx mirrors ucPairs as indices.
+	// Together they let the mapper and a move evaluation find and walk
+	// their pairs with array indexing.
+	pairIdx   map[traffic.PairKey]int32
+	planOf    []*pairPlan
+	pairsOf   [][]int32
+	ucPairIdx [][]int32
+}
+
 // pairPlan is the placement-independent routing plan of one directed pair:
 // the smooth-switching groups that communicate over it in reservation order
 // (driving group first, then descending heaviest-flow bandwidth), each with
-// its reservation bandwidth and tightest latency bound.
+// its reservation bandwidth, tightest latency bound and the slot demand of
+// its heaviest same-pair flow.
 type pairPlan struct {
 	groups   []int
 	bw       []float64
 	lat      []float64
+	slots    []int
 	allInsts []int // indices into the flow list, every instance of the pair
 }
 
@@ -121,9 +127,10 @@ type evalScratch struct {
 	journal       []resRecord
 }
 
-// NewEvaluator validates the inputs once and precomputes the shared
-// evaluation state. The topology is used as given — mesh, torus or custom —
-// exactly like EvaluateFixed.
+// NewEvaluator validates the inputs once, builds the design tables and
+// returns the evaluator for one topology. The topology is used as given —
+// mesh, torus or custom — exactly like EvaluateFixed. Use ForTopology on
+// the result to evaluate the same design on other fabrics.
 func NewEvaluator(prep *usecase.Prepared, numCores int, top *topology.Topology, p Params) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -132,95 +139,148 @@ func NewEvaluator(prep *usecase.Prepared, numCores int, top *topology.Topology, 
 		return nil, err
 	}
 	if top == nil {
-		return nil, fmt.Errorf("core: evaluator needs a topology")
+		return nil, errNoTopology
 	}
-	return newEvaluator(prep, numCores, top, p), nil
+	return newDesignTables(prep, numCores, p).evaluator(top), nil
 }
 
-// newEvaluator builds the evaluator without re-validating (the growth loop
-// validates once up front).
-func newEvaluator(prep *usecase.Prepared, numCores int, top *topology.Topology, p Params) *Evaluator {
-	ev := &Evaluator{prep: prep, numCores: numCores, top: top, p: p}
-	ev.meshLinks = top.NumLinks()
-	ev.totalLinks = ev.meshLinks + 2*top.NumSwitches()*p.NIsPerSwitch
-	ev.paths = route.NewTable(top, p.Cost)
-	ev.buildTemplates()
-	return ev
+var errNoTopology = fmt.Errorf("core: evaluator needs a topology")
+
+// ForTopology returns an evaluator for the same design and params on
+// another fabric. It shares ev's design tables, so it costs only the
+// per-topology part: a constant number of allocations, independent of the
+// design's size.
+func (ev *Evaluator) ForTopology(top *topology.Topology) (*Evaluator, error) {
+	if top == nil {
+		return nil, errNoTopology
+	}
+	return ev.designTables.evaluator(top), nil
+}
+
+// evaluator derives the per-topology evaluator over the tables.
+func (t *designTables) evaluator(top *topology.Topology) *Evaluator {
+	meshLinks := top.NumLinks()
+	return &Evaluator{
+		designTables: t,
+		top:          top,
+		meshLinks:    meshLinks,
+		totalLinks:   meshLinks + 2*top.NumSwitches()*t.p.NIsPerSwitch,
+		paths:        route.NewTable(top, t.p.Cost),
+	}
 }
 
 // Topology returns the fabric the evaluator scores placements on.
 func (ev *Evaluator) Topology() *topology.Topology { return ev.top }
 
-// buildTemplates assembles the sorted flow list, pair index, routing plans
-// and demand projections (the work buildFlows used to redo per attempt).
-func (ev *Evaluator) buildTemplates() {
-	for uc, u := range ev.prep.UseCases {
-		for idx, f := range u.Flows {
-			ev.flowsTpl = append(ev.flowsTpl, flowInst{
-				uc: uc, idx: idx, bw: f.BandwidthMBs, lat: f.MaxLatencyNS, key: f.Key(),
-			})
+// compareFlows orders the global flow list: descending bandwidth, then
+// source, destination and use-case. Use-case validation forbids duplicate
+// pairs within a use-case, so the order is total.
+func compareFlows(a, b flowInst) int {
+	if a.bw != b.bw {
+		if a.bw > b.bw {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.key.Src, b.key.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.key.Dst, b.key.Dst); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.uc, b.uc)
+}
+
+// newDesignTables assembles the sorted flow list, pair index, routing plans
+// and demand projections without re-validating (callers validate once up
+// front). Every per-pair, per-group and per-core table is carved from one
+// backing array sized by a counting pass.
+func newDesignTables(prep *usecase.Prepared, numCores int, p Params) *designTables {
+	t := &designTables{prep: prep, numCores: numCores, p: p}
+	numFlows := 0
+	for _, u := range prep.UseCases {
+		numFlows += len(u.Flows)
+	}
+	t.flowsTpl = make([]flowInst, 0, numFlows)
+	for uc, u := range prep.UseCases {
+		for _, f := range u.Flows {
+			t.flowsTpl = append(t.flowsTpl, flowInst{uc: uc, bw: f.BandwidthMBs, lat: f.MaxLatencyNS, key: f.Key()})
 		}
 	}
-	sort.SliceStable(ev.flowsTpl, func(i, j int) bool {
-		a, b := ev.flowsTpl[i], ev.flowsTpl[j]
-		if a.bw != b.bw {
-			return a.bw > b.bw
+	slices.SortStableFunc(t.flowsTpl, compareFlows)
+
+	// Number the distinct pairs in first-occurrence order and tag every
+	// flow with its pair.
+	t.pairIdx = make(map[traffic.PairKey]int32)
+	for i := range t.flowsTpl {
+		f := &t.flowsTpl[i]
+		idx, ok := t.pairIdx[f.key]
+		if !ok {
+			idx = int32(len(t.pairList))
+			t.pairIdx[f.key] = idx
+			t.pairList = append(t.pairList, f.key)
 		}
-		if a.key.Src != b.key.Src {
-			return a.key.Src < b.key.Src
-		}
-		if a.key.Dst != b.key.Dst {
-			return a.key.Dst < b.key.Dst
-		}
-		return a.uc < b.uc
-	})
-	ev.byPair = make(map[traffic.PairKey][]int)
-	for i, f := range ev.flowsTpl {
-		if _, seen := ev.byPair[f.key]; !seen {
-			ev.pairList = append(ev.pairList, f.key)
-		}
-		ev.byPair[f.key] = append(ev.byPair[f.key], i)
+		f.pair = idx
 	}
-	// Demand projection templates: per group, the heaviest flow per pair
-	// determines the reservation size; each core's remaining demand is the
-	// sum over its pairs.
-	numGroups := len(ev.prep.Groups)
-	ev.pairSlots = make([]map[traffic.PairKey]int, numGroups)
-	ev.remOutTpl = make([][]int, numGroups)
-	ev.remInTpl = make([][]int, numGroups)
-	for g := 0; g < numGroups; g++ {
-		ev.pairSlots[g] = make(map[traffic.PairKey]int)
-		ev.remOutTpl[g] = make([]int, ev.numCores)
-		ev.remInTpl[g] = make([]int, ev.numCores)
+	numPairs := len(t.pairList)
+
+	// Every pair's instances, ascending, by a counting sort over the flows.
+	instStart := make([]int, numPairs+1)
+	for _, f := range t.flowsTpl {
+		instStart[f.pair+1]++
 	}
-	for _, f := range ev.flowsTpl {
-		g := ev.prep.GroupOf[f.uc]
-		n := tdma.SlotsNeeded(f.bw, ev.p.SlotBandwidthMBs())
-		if n > ev.pairSlots[g][f.key] {
-			ev.pairSlots[g][f.key] = n
-		}
+	for i := 0; i < numPairs; i++ {
+		instStart[i+1] += instStart[i]
 	}
-	for g := 0; g < numGroups; g++ {
-		for key, n := range ev.pairSlots[g] {
-			ev.remOutTpl[g][key.Src] += n
-			ev.remInTpl[g][key.Dst] += n
-		}
+	insts := make([]int, numFlows)
+	next := slices.Clone(instStart[:numPairs])
+	for i, f := range t.flowsTpl {
+		insts[next[f.pair]] = i
+		next[f.pair]++
 	}
+
 	// Routing plans. The driving group is the group of the pair's heaviest
 	// instance (the flow chooseNext selects — same-pair flows share a
 	// preference tier, so the sorted list's first instance always drives);
 	// the remaining groups follow in descending order of their heaviest
-	// same-pair flow, matching Algorithm 2 step 6.
-	ev.plans = make(map[traffic.PairKey]*pairPlan, len(ev.pairList))
-	for _, key := range ev.pairList {
-		insts := ev.byPair[key]
-		maxBW := make(map[int]float64)
-		minLat := make(map[int]float64)
-		for _, i := range insts {
-			f := ev.flowsTpl[i]
-			g := ev.prep.GroupOf[f.uc]
-			if _, ok := maxBW[g]; !ok {
-				minLat[g] = -1
+	// same-pair flow, matching Algorithm 2 step 6. The per-group maxima are
+	// gathered in group-indexed scratch. A pair has at most as many groups
+	// as instances, so the plans' parallel slices carve from backing arrays
+	// of the flow count. The demand projection templates accumulate
+	// alongside: each core's remaining demand in a group is the sum of its
+	// pairs' reservation sizes.
+	numGroups := len(prep.Groups)
+	remBuf := make([]int, 2*numGroups*numCores)
+	t.remOutTpl = make([][]int, numGroups)
+	t.remInTpl = make([][]int, numGroups)
+	for g := 0; g < numGroups; g++ {
+		t.remOutTpl[g] = remBuf[2*g*numCores : (2*g+1)*numCores : (2*g+1)*numCores]
+		t.remInTpl[g] = remBuf[(2*g+1)*numCores : (2*g+2)*numCores : (2*g+2)*numCores]
+	}
+	maxBW := make([]float64, numGroups)
+	minLat := make([]float64, numGroups)
+	maxSlots := make([]int, numGroups)
+	inPlan := make([]bool, numGroups)
+	groupLen := make([]int, numGroups)
+	groupsBuf := make([]int, numFlows)
+	bwBuf := make([]float64, numFlows)
+	latBuf := make([]float64, numFlows)
+	slotsBuf := make([]int, numFlows)
+	plans := make([]pairPlan, numPairs)
+	t.planOf = make([]*pairPlan, numPairs)
+	slotBW := p.SlotBandwidthMBs()
+	used := 0
+	for i := range plans {
+		plan := &plans[i]
+		plan.allInsts = insts[instStart[i]:instStart[i+1]:instStart[i+1]]
+		groups := groupsBuf[used:used]
+		for _, fi := range plan.allInsts {
+			f := &t.flowsTpl[fi]
+			g := prep.GroupOf[f.uc]
+			if !inPlan[g] {
+				inPlan[g] = true
+				maxBW[g], minLat[g], maxSlots[g] = 0, -1, 0
+				groups = append(groups, g)
 			}
 			if f.bw > maxBW[g] {
 				maxBW[g] = f.bw
@@ -228,79 +288,102 @@ func (ev *Evaluator) buildTemplates() {
 			if f.lat > 0 && (minLat[g] < 0 || f.lat < minLat[g]) {
 				minLat[g] = f.lat
 			}
-		}
-		drive := ev.prep.GroupOf[ev.flowsTpl[insts[0]].uc]
-		var rest []int
-		for g := range maxBW {
-			if g != drive {
-				rest = append(rest, g)
+			if n := tdma.SlotsNeeded(f.bw, slotBW); n > maxSlots[g] {
+				maxSlots[g] = n
 			}
 		}
-		sort.Slice(rest, func(a, b int) bool {
-			if maxBW[rest[a]] != maxBW[rest[b]] {
-				return maxBW[rest[a]] > maxBW[rest[b]]
+		slices.SortFunc(groups[1:], func(a, b int) int {
+			if maxBW[a] != maxBW[b] {
+				if maxBW[a] > maxBW[b] {
+					return -1
+				}
+				return 1
 			}
-			return rest[a] < rest[b]
+			return a - b
 		})
-		plan := &pairPlan{allInsts: insts}
-		for _, g := range append([]int{drive}, rest...) {
-			plan.groups = append(plan.groups, g)
-			plan.bw = append(plan.bw, maxBW[g])
-			plan.lat = append(plan.lat, minLat[g])
+		n := len(groups)
+		plan.groups = groups[:n:n]
+		plan.bw = bwBuf[used : used+n : used+n]
+		plan.lat = latBuf[used : used+n : used+n]
+		plan.slots = slotsBuf[used : used+n : used+n]
+		key := t.pairList[i]
+		for j, g := range groups {
+			plan.bw[j], plan.lat[j], plan.slots[j] = maxBW[g], minLat[g], maxSlots[g]
+			t.remOutTpl[g][key.Src] += maxSlots[g]
+			t.remInTpl[g][key.Dst] += maxSlots[g]
+			inPlan[g] = false
+			groupLen[g]++
 		}
-		ev.plans[key] = plan
+		used += n
+		t.planOf[i] = plan
 	}
-	// Dense pair index in pairList order, with the per-core incidence lists
-	// the session's move evaluation walks instead of scanning every pair.
-	ev.pairIdx = make(map[traffic.PairKey]int32, len(ev.pairList))
-	ev.planOf = make([]*pairPlan, len(ev.pairList))
-	for i, key := range ev.pairList {
-		ev.pairIdx[key] = int32(i)
-		ev.planOf[i] = ev.plans[key]
-	}
-	ev.pairsOf = make([][]int32, ev.numCores)
-	for i, key := range ev.pairList {
-		ev.pairsOf[key.Src] = append(ev.pairsOf[key.Src], int32(i))
+
+	// Per-core incidence lists the session's move evaluation walks instead
+	// of scanning every pair, and the cores that communicate at all.
+	touching := make([]int, numCores+1)
+	for _, key := range t.pairList {
+		touching[key.Src+1]++
 		if key.Dst != key.Src {
-			ev.pairsOf[key.Dst] = append(ev.pairsOf[key.Dst], int32(i))
+			touching[key.Dst+1]++
 		}
 	}
+	t.active = make([]int, 0, numCores)
+	for c := 0; c < numCores; c++ {
+		if touching[c+1] > 0 {
+			t.active = append(t.active, c)
+		}
+		touching[c+1] += touching[c]
+	}
+	pairsBuf := make([]int32, touching[numCores])
+	t.pairsOf = make([][]int32, numCores)
+	for c := range t.pairsOf {
+		t.pairsOf[c] = pairsBuf[touching[c]:touching[c]:touching[c+1]]
+	}
+	for i, key := range t.pairList {
+		t.pairsOf[key.Src] = append(t.pairsOf[key.Src], int32(i))
+		if key.Dst != key.Src {
+			t.pairsOf[key.Dst] = append(t.pairsOf[key.Dst], int32(i))
+		}
+	}
+
 	// Per-group routing worklists in global (bandwidth-sorted) pair order.
 	// With a fixed placement the groups never interact — each owns its slot
 	// tables and candidate costs read only its own state — so evaluating a
 	// group against this list alone reproduces exactly what a full pass
 	// would grant it. The session's per-group rebuild fallback rests on
 	// this decomposition.
-	ev.groupPairs = make([][]pairDemand, numGroups)
-	for _, key := range ev.pairList {
-		plan := ev.plans[key]
-		for i, g := range plan.groups {
-			ev.groupPairs[g] = append(ev.groupPairs[g], pairDemand{
-				key: key, idx: ev.pairIdx[key], slots: ev.pairSlots[g][key], bw: plan.bw[i], lat: plan.lat[i],
+	demandBuf := make([]pairDemand, used)
+	t.groupPairs = make([][]pairDemand, numGroups)
+	off := 0
+	for g, n := range groupLen {
+		t.groupPairs[g] = demandBuf[off : off : off+n]
+		off += n
+	}
+	for i, plan := range t.planOf {
+		for j, g := range plan.groups {
+			t.groupPairs[g] = append(t.groupPairs[g], pairDemand{
+				key: t.pairList[i], idx: int32(i), slots: plan.slots[j], bw: plan.bw[j], lat: plan.lat[j],
 			})
 		}
 	}
+
 	// Per-use-case stat iteration: distinct pairs with the flow bandwidth
 	// (use-case validation forbids duplicate pairs, so flows ≡ pairs).
-	ev.ucPairs = make([][]ucPairStat, len(ev.prep.UseCases))
-	ev.ucPairIdx = make([][]int32, len(ev.prep.UseCases))
-	for uc, u := range ev.prep.UseCases {
+	statBuf := make([]ucPairStat, 0, numFlows)
+	idxBuf := make([]int32, 0, numFlows)
+	t.ucPairs = make([][]ucPairStat, len(prep.UseCases))
+	t.ucPairIdx = make([][]int32, len(prep.UseCases))
+	for uc, u := range prep.UseCases {
+		from := len(statBuf)
 		for _, f := range u.Flows {
-			ev.ucPairs[uc] = append(ev.ucPairs[uc], ucPairStat{key: f.Key(), bw: f.BandwidthMBs})
-			ev.ucPairIdx[uc] = append(ev.ucPairIdx[uc], ev.pairIdx[f.Key()])
+			statBuf = append(statBuf, ucPairStat{key: f.Key(), bw: f.BandwidthMBs})
+			idxBuf = append(idxBuf, t.pairIdx[f.Key()])
 		}
+		to := len(statBuf)
+		t.ucPairs[uc] = statBuf[from:to:to]
+		t.ucPairIdx[uc] = idxBuf[from:to:to]
 	}
-	ev.active = make([]int, 0, ev.numCores)
-	seen := make([]bool, ev.numCores)
-	for _, f := range ev.flowsTpl {
-		for _, c := range []traffic.CoreID{f.key.Src, f.key.Dst} {
-			if !seen[c] {
-				seen[c] = true
-				ev.active = append(ev.active, int(c))
-			}
-		}
-	}
-	sort.Ints(ev.active)
+	return t
 }
 
 // ValidatePlacement checks a fixed placement against the evaluator's
@@ -382,10 +465,8 @@ func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) (*mapper, err
 	m := &mapper{
 		ev: ev, prep: ev.prep, p: ev.p, top: ev.top,
 		meshLinks: ev.meshLinks, totalLinks: ev.totalLinks,
-		states:    sc.states,
-		byPair:    ev.byPair,
-		pairSlots: ev.pairSlots,
-		journal:   sc.journal[:0],
+		states:  sc.states,
+		journal: sc.journal[:0],
 	}
 	copy(sc.flows, ev.flowsTpl)
 	m.flows = sc.flows

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nocmap/internal/route"
 	"nocmap/internal/tdma"
@@ -32,7 +32,10 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 	if err := validateInput(prep, numCores); err != nil {
 		return nil, err
 	}
-	active := activeCores(prep, numCores)
+	// The design tables depend only on the use-cases and params: build them
+	// once and derive one evaluator per attempted fabric.
+	tables := newDesignTables(prep, numCores, p)
+	active := len(tables.active)
 	// A custom fabric is a single fixed instance: no growth loop, one
 	// attempt on the loaded topology.
 	if !p.Topology.Grows() {
@@ -45,7 +48,7 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 			err := fmt.Errorf("core: %s hosts %d cores, design needs %d", top, top.MaxCores(), active)
 			return nil, &InfeasibleError{Fabric: top.String(), Attempts: []Attempt{{Dim: dim, Skipped: true}}, Last: err}
 		}
-		ev := newEvaluator(prep, numCores, top, p)
+		ev := tables.evaluator(top)
 		m, states, _, err := ev.attempt(nil)
 		if err != nil {
 			return nil, &InfeasibleError{Fabric: top.String(), Attempts: []Attempt{{Dim: dim, Err: err.Error()}}, Last: err}
@@ -70,7 +73,7 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 		if err != nil {
 			return nil, err
 		}
-		ev := newEvaluator(prep, numCores, top, p)
+		ev := tables.evaluator(top)
 		m, states, _, err := ev.attempt(nil)
 		if err != nil {
 			attempts = append(attempts, Attempt{Dim: dim, Err: err.Error()})
@@ -156,24 +159,6 @@ func validateInput(prep *usecase.Prepared, numCores int) error {
 	return nil
 }
 
-// activeCores counts cores that appear in at least one flow; only they need
-// NI attachment.
-func activeCores(prep *usecase.Prepared, numCores int) int {
-	seen := make([]bool, numCores)
-	n := 0
-	for _, u := range prep.UseCases {
-		for _, f := range u.Flows {
-			for _, c := range []traffic.CoreID{f.Src, f.Dst} {
-				if !seen[c] {
-					seen[c] = true
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 // placementFix pins the core placement for configuration-only runs.
 type placementFix struct {
 	CoreSwitch []int
@@ -183,17 +168,17 @@ type placementFix struct {
 // flowInst is one flow occurrence in the global work list.
 type flowInst struct {
 	uc   int
-	idx  int
 	bw   float64
 	lat  float64
 	key  traffic.PairKey
+	pair int32 // dense index of key (designTables.pairIdx)
 	done bool
 }
 
 // mapper carries the working state of one attempt on one topology. The
-// immutable tables (byPair, pairSlots, the routing plans reached through
-// ev) are shared with the owning Evaluator; the mutable ones are per
-// attempt, drawn from the evaluator's scratch pool or freshly allocated.
+// immutable tables (the routing plans reached through ev) are shared with
+// the owning Evaluator; the mutable ones are per attempt, drawn from the
+// evaluator's scratch pool or freshly allocated.
 type mapper struct {
 	ev   *Evaluator
 	prep *usecase.Prepared
@@ -216,20 +201,18 @@ type mapper struct {
 	switchCores []int
 	niCores     []int
 
-	flows  []flowInst
-	byPair map[traffic.PairKey][]int
+	flows []flowInst
 
-	// pairSlots caches, per group and pair, the bandwidth-driven slot count
-	// of the group's heaviest same-pair flow. remOut/remIn hold, per group
-	// and core, the not-yet-reserved slot demand the core will still source
-	// or sink. Projected NI occupancy (current reservations + remaining
-	// demand of the NI's cores) steers placement: greedy per-flow decisions
-	// would otherwise co-locate cores whose later flows overrun the NI.
+	// remOut/remIn hold, per group and core, the not-yet-reserved slot
+	// demand (each pair sized by the group's heaviest same-pair flow, as in
+	// the pair's plan) the core will still source or sink. Projected NI
+	// occupancy (current reservations + remaining demand of the NI's cores)
+	// steers placement: greedy per-flow decisions would otherwise co-locate
+	// cores whose later flows overrun the NI.
 	// Both rem tables are nil when the fix places every communicating core
 	// — no placement decisions remain, so no projection is ever read.
-	pairSlots []map[traffic.PairKey]int
-	remOut    [][]int
-	remIn     [][]int
+	remOut [][]int
+	remIn  [][]int
 
 	journal   []resRecord
 	nextOwner int32
@@ -418,7 +401,7 @@ func (m *mapper) chooseNext() int {
 // committed.
 func (m *mapper) placeAndRoute(fi int) error {
 	f := m.flows[fi]
-	plan := m.ev.plans[f.key]
+	plan := m.ev.planOf[f.pair]
 
 	placements, err := m.candidatePlacements(f)
 	if err != nil {
@@ -554,6 +537,23 @@ func (m *mapper) attachPenalty(worst int) float64 {
 	return m.p.Cost.LoadWeight * occ * occ
 }
 
+// switchCand is a candidate switch for a core with its placement score.
+type switchCand struct {
+	s int
+	d float64
+}
+
+// compareCands orders candidate switches by score, then index.
+func compareCands(a, b switchCand) int {
+	if a.d != b.d {
+		if a.d < b.d {
+			return -1
+		}
+		return 1
+	}
+	return a.s - b.s
+}
+
 // rankPlacements orders candidate switches for an unmapped endpoint: only
 // switches with an NI that can absorb the core's projected demand qualify,
 // scored by least-cost-tree distance from the mapped endpoint's switch under
@@ -567,11 +567,7 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 	if err != nil {
 		return nil
 	}
-	type cand struct {
-		s int
-		d float64
-	}
-	var cands []cand
+	var cands []switchCand
 	for s := 0; s < m.top.NumSwitches(); s++ {
 		free := m.p.CoresPerSwitch() - m.switchCores[s]
 		need := 1
@@ -592,14 +588,9 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 		if d < 0 {
 			continue // unreachable under current load
 		}
-		cands = append(cands, cand{s, d + m.attachPenalty(worst)})
+		cands = append(cands, switchCand{s, d + m.attachPenalty(worst)})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].s < cands[j].s
-	})
+	slices.SortStableFunc(cands, compareCands)
 	if len(cands) > m.p.PlacementCandidates {
 		cands = cands[:m.p.PlacementCandidates]
 	}
@@ -615,11 +606,7 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 // load penalty (deterministic seed order for flows with no mapped endpoint).
 func (m *mapper) seedSwitches(n int, core traffic.CoreID) []int {
 	centre := m.top.Centre()
-	type cand struct {
-		s int
-		d float64
-	}
-	var cands []cand
+	var cands []switchCand
 	for s := 0; s < m.top.NumSwitches(); s++ {
 		if m.switchCores[s] >= m.p.CoresPerSwitch() {
 			continue
@@ -630,14 +617,9 @@ func (m *mapper) seedSwitches(n int, core traffic.CoreID) []int {
 		}
 		d := float64(m.top.HopDistance(topology.SwitchID(s), centre))*m.p.Cost.HopCost +
 			m.attachPenalty(worst)
-		cands = append(cands, cand{s, d})
+		cands = append(cands, switchCand{s, d})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].s < cands[j].s
-	})
+	slices.SortStableFunc(cands, compareCands)
 	if len(cands) > n {
 		cands = cands[:n]
 	}
@@ -703,7 +685,7 @@ func (m *mapper) undoPlacement(pl placement) {
 // the group's shared state (Algorithm 2 steps 4-6).
 func (m *mapper) routeGroups(key traffic.PairKey, plan *pairPlan) error {
 	for i, g := range plan.groups {
-		if err := m.reservePair(g, key, plan.bw[i], plan.lat[i]); err != nil {
+		if err := m.reservePair(g, key, plan.bw[i], plan.lat[i], plan.slots[i]); err != nil {
 			return fmt.Errorf("group %d: %w", g, err)
 		}
 	}
@@ -712,8 +694,8 @@ func (m *mapper) routeGroups(key traffic.PairKey, plan *pairPlan) error {
 
 // reservePair selects a path and aligned slots for one pair in one group's
 // state (via the evaluator's shared reservation primitive) and journals the
-// result.
-func (m *mapper) reservePair(g int, key traffic.PairKey, bw float64, latencyNS float64) error {
+// result; slots is the pair's projected demand in the group.
+func (m *mapper) reservePair(g int, key traffic.PairKey, bw, latencyNS float64, slots int) error {
 	srcS, dstS := m.coreSwitch[key.Src], m.coreSwitch[key.Dst]
 	egress := m.niEgress(m.coreNI[key.Src])
 	ingress := m.niIngress(m.coreNI[key.Dst])
@@ -727,7 +709,7 @@ func (m *mapper) reservePair(g int, key traffic.PairKey, bw float64, latencyNS f
 	// The pair's projected demand is now realized.
 	demand := 0
 	if m.remOut != nil {
-		demand = m.pairSlots[g][key]
+		demand = slots
 		m.remOut[g][key.Src] -= demand
 		m.remIn[g][key.Dst] -= demand
 	}

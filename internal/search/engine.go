@@ -92,9 +92,9 @@ type Options struct {
 	// the deterministic greedy pass once for all members.
 	base *core.Result
 	// evals, when set, is a shared per-topology evaluator cache. The
-	// portfolio hands one cache to all its annealers so the per-topology
-	// precomputation (validation, flow templates, candidate-path tables)
-	// happens once across the whole pool.
+	// portfolio hands one cache to all its annealers so the design tables
+	// and each topology's candidate-path table are built once across the
+	// whole pool.
 	evals *EvalCache
 }
 

@@ -8,12 +8,16 @@ import (
 	"nocmap/internal/usecase"
 )
 
-// EvalCache shares one core.Evaluator per topology across a search. A
-// single annealer reuses the evaluator between its move chain and its
-// shrink probes on the same fabric; the portfolio shares one cache across
-// every member, so N annealers probing the same smaller mesh build its
-// validation, flow templates and candidate-path tables once. Evaluators are
-// safe for concurrent use, so handing one to multiple workers is sound.
+// EvalCache shares one core.Evaluator per topology across a search, all
+// derived from one set of design tables. The first topology asked for
+// validates the inputs and builds the tables (the flow work list, per-pair
+// routing plans and NI demand projections); every later topology derives
+// its evaluator from them with ForTopology, paying only for its own
+// candidate-path table and scratch pool. A single annealer reuses an
+// evaluator between its move chain and its shrink probes on the same
+// fabric; the portfolio shares one cache across every member, so N
+// annealers probing the same smaller mesh share one evaluator. Evaluators
+// are safe for concurrent use, so handing one to multiple workers is sound.
 // Engine subpackages (population, exact) build their own cache per Search
 // call through NewEvalCache.
 type EvalCache struct {
@@ -23,6 +27,9 @@ type EvalCache struct {
 
 	mu sync.Mutex
 	m  map[string]*core.Evaluator
+	// base is the first evaluator built; its design tables back every
+	// other entry.
+	base *core.Evaluator
 }
 
 // NewEvalCache returns an empty evaluator cache over the prepared design.
@@ -42,7 +49,14 @@ func (c *EvalCache) For(top *topology.Topology) (*core.Evaluator, error) {
 	if ev, ok := c.m[key]; ok {
 		return ev, nil
 	}
-	ev, err := core.NewEvaluator(c.prep, c.numCores, top, c.p)
+	var ev *core.Evaluator
+	var err error
+	if c.base == nil {
+		ev, err = core.NewEvaluator(c.prep, c.numCores, top, c.p)
+		c.base = ev
+	} else {
+		ev, err = c.base.ForTopology(top)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -62,9 +62,9 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 
 	// The member annealers run without their own budget (the shared context
 	// carries it), with derived seeds, and against one shared evaluator
-	// cache: the per-topology precomputation (validation, flow templates,
-	// candidate-path tables) is paid once for the whole pool instead of
-	// once per member.
+	// cache: the design tables (validation, flow work list, routing plans)
+	// and each topology's candidate-path table are built once for the
+	// whole pool instead of once per member.
 	evals := NewEvalCache(prep, numCores, p)
 	var jobs []job
 	for i := 0; i < opts.Seeds; i++ {

@@ -217,8 +217,7 @@ func NewHandler(s *Service) http.Handler {
 
 	handle("POST", "/map", func(w http.ResponseWriter, r *http.Request) {
 		var mr MapRequest
-		if err := json.NewDecoder(r.Body).Decode(&mr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		if !decodeBody(w, r, &mr) {
 			return
 		}
 		req, err := mr.ToRequest()
@@ -273,8 +272,7 @@ func NewHandler(s *Service) http.Handler {
 
 	handle("POST", "/batch", func(w http.ResponseWriter, r *http.Request) {
 		var br BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		if !decodeBody(w, r, &br) {
 			return
 		}
 		if len(br.Requests) == 0 {
@@ -406,6 +404,30 @@ func statusOf(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// maxRequestBytes caps the body of POST /v1/map and /v1/batch. The largest
+// generated benchmark design (20 use-cases) encodes to about 200 KB, so the
+// cap leaves ample room for real designs while refusing unbounded input at
+// the boundary.
+const maxRequestBytes = 16 << 20
+
+// decodeBody decodes a JSON request body of at most maxRequestBytes into v.
+// On failure it answers the request — 413 for an oversized body, 400 for
+// malformed JSON — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte (%d MiB) limit", tooLarge.Limit, tooLarge.Limit>>20))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

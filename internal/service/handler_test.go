@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -323,5 +324,46 @@ func TestServerDesignTopologyTag(t *testing.T) {
 	}
 	if torusResp.Key == meshResp.Key {
 		t.Error("design-tagged torus request shares the mesh cache key")
+	}
+}
+
+// TestServerBodyLimit pins the boundary cap on request bodies: /v1/map and
+// /v1/batch answer a body one byte over maxRequestBytes with 413 and an
+// error naming the limit, while a request padded to exactly the limit is
+// still served.
+func TestServerBodyLimit(t *testing.T) {
+	ts, _ := newTestServer(t)
+	// pad surrounds a request with JSON whitespace up to n bytes in total.
+	pad := func(body string, n int) []byte {
+		return append([]byte(body[:len(body)-1]+strings.Repeat(" ", n-len(body))), '}')
+	}
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s: decode response: %v", path, err)
+		}
+		return resp.StatusCode, e.Error
+	}
+	mapBody := fmt.Sprintf(`{"design":%s}`, d1JSON(t))
+	for path, body := range map[string]string{
+		"/v1/map":   mapBody,
+		"/v1/batch": fmt.Sprintf(`{"requests":[%s]}`, mapBody),
+	} {
+		code, msg := post(path, pad(body, maxRequestBytes+1))
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s over the limit: HTTP %d (%s), want 413", path, code, msg)
+		}
+		if !strings.Contains(msg, "16777216-byte") {
+			t.Errorf("%s over the limit: error %q does not name the limit", path, msg)
+		}
+	}
+	if code, msg := post("/v1/map", pad(mapBody, maxRequestBytes)); code != http.StatusOK {
+		t.Errorf("/v1/map at the limit: HTTP %d (%s), want 200", code, msg)
 	}
 }
