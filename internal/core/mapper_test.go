@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nocmap/internal/tdma"
+	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
 )
@@ -386,5 +387,84 @@ func TestImprovePreservesFeasibility(t *testing.T) {
 	ref := mustMap(t, prep(t, 12, u), 12, base)
 	if res.Stats.AvgMeshHops > ref.Stats.AvgMeshHops+1e-9 {
 		t.Errorf("improve worsened hops: %v > %v", res.Stats.AvgMeshHops, ref.Stats.AvgMeshHops)
+	}
+}
+
+// TestReservationFailureMessages pins the text of the three ways a pair's
+// reservation can fail, as the mapper's entry points report them: the flow
+// exceeds a link's capacity, no path has enough free slots on every link,
+// and no candidate path has aligned slots within the latency budget. Map's
+// placement projection never seats a core whose demand overruns its NI, so
+// the over-capacity case comes from a fixed placement.
+func TestReservationFailureMessages(t *testing.T) {
+	line := DefaultParams()
+	line.NIsPerSwitch, line.CoresPerNI = 2, 1
+	line.Topology = topology.Spec{Kind: topology.KindCustom,
+		Custom: &topology.Custom{Switches: 3, Links: [][2]int{{0, 1}, {1, 2}}}}
+	oneSwitch := DefaultParams()
+	oneSwitch.MaxMeshDim = 1
+	oneCorePerSwitch := DefaultParams()
+	oneCorePerSwitch.NIsPerSwitch, oneCorePerSwitch.CoresPerNI = 1, 1
+	oneCorePerSwitch.MaxMeshDim = 2
+
+	cases := []struct {
+		name     string
+		numCores int
+		flows    []traffic.Flow
+		p        Params
+		fixed    bool // evaluate both cores on switch 0 instead of mapping
+		want     string
+	}{
+		{
+			name: "over capacity", numCores: 2, fixed: true, p: DefaultParams(),
+			flows: []traffic.Flow{{Src: 0, Dst: 1, BandwidthMBs: 5000}},
+			want: `core: flow 0->1 (5000.0 MB/s, use-case "u"): group 0: ` +
+				`flow 0->1 needs 160 slots, table has 64 (bandwidth 5000.0 exceeds link capacity 2000.0 MB/s)`,
+		},
+		{
+			// Two cores per switch on a three-switch line: once the other
+			// flows are placed, 2->3 must cross a link they saturate.
+			name: "no feasible path", numCores: 5, p: line,
+			flows: []traffic.Flow{
+				{Src: 1, Dst: 4, BandwidthMBs: 1400}, {Src: 0, Dst: 2, BandwidthMBs: 1300},
+				{Src: 2, Dst: 3, BandwidthMBs: 1700}, {Src: 4, Dst: 0, BandwidthMBs: 1900},
+			},
+			want: `core: no feasible mapping on custom fabric (3 switches) (last: core: flow 2->3 (1700.0 MB/s, use-case "u"): ` +
+				`group 0: flow 2->3: no feasible path 0->2 (55 slots))`,
+		},
+		{
+			name: "no aligned slots", numCores: 2, p: oneSwitch,
+			flows: []traffic.Flow{{Src: 0, Dst: 1, BandwidthMBs: 40, MaxLatencyNS: 1}},
+			want: `core: no feasible mapping up to 1x1 mesh (last: core: flow 0->1 (40.0 MB/s, use-case "u"): ` +
+				`group 0: flow 0->1: no aligned slots (need 2, latency budget 0 slots) on any of 1 paths)`,
+		},
+		{
+			name: "no aligned slots on two paths", numCores: 3, p: oneCorePerSwitch,
+			flows: []traffic.Flow{
+				{Src: 2, Dst: 0, BandwidthMBs: 300}, {Src: 1, Dst: 2, BandwidthMBs: 1400, MaxLatencyNS: 40},
+				{Src: 0, Dst: 2, BandwidthMBs: 300, MaxLatencyNS: 20}, {Src: 0, Dst: 1, BandwidthMBs: 100},
+				{Src: 2, Dst: 1, BandwidthMBs: 300, MaxLatencyNS: 100},
+			},
+			want: `core: no feasible mapping up to 2x2 mesh (last: core: flow 0->2 (300.0 MB/s, use-case "u"): ` +
+				`group 0: flow 0->2: no aligned slots (need 10, latency budget 3 slots) on any of 2 paths)`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pr := prep(t, tc.numCores, &traffic.UseCase{Name: "u", Flows: tc.flows})
+			var err error
+			if tc.fixed {
+				top, terr := tc.p.Topology.ForDim(topology.Dim{Rows: 1, Cols: 1}, tc.p.CoresPerSwitch())
+				if terr != nil {
+					t.Fatal(terr)
+				}
+				_, err = EvaluateFixed(pr, tc.numCores, top, []int{0, 0}, []int{0, 1}, tc.p)
+			} else {
+				_, err = Map(pr, tc.numCores, tc.p)
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("err = %v\nwant  %s", err, tc.want)
+			}
+		})
 	}
 }
