@@ -119,12 +119,16 @@ type pairDemand struct {
 	lat   float64
 }
 
-// evalScratch is the reusable mutable state of one evaluation.
+// evalScratch is the reusable mutable state of one evaluation: the
+// reservation scratch and probe record reserveSlots works in, besides the
+// states, flow list, demand projections and journal.
 type evalScratch struct {
 	states        []*tdma.State
 	flows         []flowInst
 	remOut, remIn [][]int
 	journal       []resRecord
+	res           reserveScratch
+	probe         resRecord
 }
 
 // NewEvaluator validates the inputs once, builds the design tables and
@@ -433,7 +437,7 @@ func (ev *Evaluator) getScratch() *evalScratch {
 	if sc, ok := ev.pool.Get().(*evalScratch); ok {
 		return sc
 	}
-	sc := &evalScratch{}
+	sc := &evalScratch{res: reserveScratch{route: route.NewScratch()}}
 	sc.states = make([]*tdma.State, len(ev.prep.Groups))
 	for g := range sc.states {
 		st, err := tdma.NewState(ev.totalLinks, ev.p.SlotTableSize)
@@ -467,6 +471,8 @@ func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) (*mapper, err
 		meshLinks: ev.meshLinks, totalLinks: ev.totalLinks,
 		states:  sc.states,
 		journal: sc.journal[:0],
+		res:     &sc.res,
+		probe:   &sc.probe,
 	}
 	copy(sc.flows, ev.flowsTpl)
 	m.flows = sc.flows
@@ -542,90 +548,34 @@ func (ev *Evaluator) attempt(fix *placementFix) (*Mapping, []*tdma.State, []resR
 	return mapping, m.states, m.journal, nil
 }
 
-// reserveSlots selects a path and aligned slots for one pair on one state:
-// candidate paths cheapest-first (from the per-pair cache), slot count
-// escalating past the bandwidth requirement when the latency bound needs a
-// smaller gap. On success the reservation is committed to st under owner
-// and the full path, starts and slot count are returned.
-func (ev *Evaluator) reserveSlots(st *tdma.State, owner int32, key traffic.PairKey,
-	srcS, dstS, egress, ingress int, bw, latencyNS float64) (path []int, starts []int, n int, err error) {
-	T := ev.p.SlotTableSize
-	slots0 := tdma.SlotsNeeded(bw, ev.p.SlotBandwidthMBs())
-	if slots0 > T {
-		return nil, nil, 0, fmt.Errorf("flow %d->%d needs %d slots, table has %d (bandwidth %0.1f exceeds link capacity %0.1f MB/s)",
-			key.Src, key.Dst, slots0, T, bw, ev.p.LinkBandwidthMBs())
-	}
-	latBudget := ev.p.LatencyBudgetSlots(latencyNS)
-	var meshCands []route.Path
-	if srcS == dstS {
-		meshCands = []route.Path{nil}
-	} else {
-		meshCands = ev.paths.Candidates(st, topology.SwitchID(srcS), topology.SwitchID(dstS), slots0, ev.p.Cost)
-		if len(meshCands) == 0 {
-			return nil, nil, 0, fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)", key.Src, key.Dst, srcS, dstS, slots0)
-		}
-		if ev.p.DisableUnifiedSlots {
-			// Ablation A2: path selection ignores slot alignment — commit to
-			// the single cheapest bandwidth-feasible path.
-			meshCands = meshCands[:1]
-		}
-	}
-	maxLen := 2
-	for _, cand := range meshCands {
-		if len(cand)+2 > maxLen {
-			maxLen = len(cand) + 2
-		}
-	}
-	full := make([]int, 0, maxLen) // shared probe buffer; cloned only on success
-	for _, cand := range meshCands {
-		full = full[:0]
-		full = append(full, egress)
-		for _, l := range cand {
-			full = append(full, int(l))
-		}
-		full = append(full, ingress)
-		for n := slots0; n <= T; n++ {
-			starts, ok := st.FindAligned(full, n)
-			if !ok {
-				break // more slots cannot become available
-			}
-			if latBudget >= 0 && tdma.WorstCaseLatencySlotsSorted(starts, len(full), T) > latBudget {
-				continue // spread more slots to shrink the gap
-			}
-			if err := st.Reserve(owner, full, starts); err != nil {
-				return nil, nil, 0, fmt.Errorf("internal: reserve after FindAligned: %w", err)
-			}
-			return append([]int(nil), full...), starts, n, nil
-		}
-	}
-	return nil, nil, 0, fmt.Errorf("flow %d->%d: no aligned slots (need %d, latency budget %d slots) on any of %d paths",
-		key.Src, key.Dst, slots0, latBudget, len(meshCands))
-}
-
-// Infeasibility sentinels of the session's delta re-route. The move loop of
-// a search engine probes thousands of placements whose rejections are
-// ordinary control flow, so the hot path reports them without formatting;
-// the one-shot entry points keep their descriptive errors.
+// Infeasibility sentinels of reserveSlots. The move loop of a search engine
+// probes thousands of placements whose rejections are ordinary control
+// flow, so reserveSlots reports them without formatting; the mapper turns
+// them into descriptive errors (mapper.reserveError).
 var (
 	errOverCapacity = fmt.Errorf("core: flow bandwidth exceeds link capacity")
 	errNoPath       = fmt.Errorf("core: no bandwidth-feasible path")
 	errNoAligned    = fmt.Errorf("core: no aligned slots on any candidate path")
 )
 
-// reserveScratch is the per-session working state of reserveSlotsInto: the
-// route-query scratch and the shared path probe buffer.
+// reserveScratch is the working state of reserveSlots on one goroutine: the
+// route-query scratch, the shared path probe buffer, and how many candidate
+// paths the last call probed.
 type reserveScratch struct {
 	route *route.Scratch
 	full  []int
+	paths int
 }
 
-// reserveSlotsInto is reserveSlots for the session hot path: path and start
-// buffers come from (and are retained by) the record, route queries reuse
-// the session's scratch, and infeasibility is reported through shared
-// sentinel errors. The selected path, starts and slot count are identical
-// to reserveSlots' on the same state — both probe the same candidates in
-// the same order.
-func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner int32, key traffic.PairKey,
+// reserveSlots selects a path and aligned slots for one pair on one state:
+// candidate paths cheapest-first (from the per-pair cache), slot count
+// escalating past the bandwidth requirement when the latency bound needs a
+// smaller gap. On success the reservation is committed to st under owner
+// and the full path, starts and mesh-hop count are written into rec, whose
+// path and start buffers are reused and retained; the caller fills the
+// record's other fields. Route queries reuse the scratch, and infeasibility
+// is reported through the shared sentinel errors.
+func (ev *Evaluator) reserveSlots(sc *reserveScratch, st *tdma.State, owner int32, key traffic.PairKey,
 	srcS, dstS, egress, ingress int, bw, latencyNS float64, rec *resRecord) error {
 	T := ev.p.SlotTableSize
 	slots0 := tdma.SlotsNeeded(bw, ev.p.SlotBandwidthMBs())
@@ -641,16 +591,19 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 	latBudget := ev.p.LatencyBudgetSlots(latencyNS)
 	var meshCands []route.Path
 	if srcS != dstS {
-		meshCands = ev.paths.CandidatesInto(sc.route, st, topology.SwitchID(srcS), topology.SwitchID(dstS), slots0, ev.p.Cost)
+		meshCands = ev.paths.Candidates(sc.route, st, topology.SwitchID(srcS), topology.SwitchID(dstS), slots0)
 		if len(meshCands) == 0 {
 			return errNoPath
 		}
 		if ev.p.DisableUnifiedSlots {
+			// Ablation A2: path selection ignores slot alignment — commit to
+			// the single cheapest bandwidth-feasible path.
 			meshCands = meshCands[:1]
 		}
 	} else {
 		meshCands = sameSwitchCands
 	}
+	sc.paths = len(meshCands)
 	for _, cand := range meshCands {
 		full := sc.full[:0]
 		full = append(full, egress)
@@ -660,7 +613,7 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 		full = append(full, ingress)
 		sc.full = full
 		for n := slots0; n <= T; n++ {
-			starts, ok := st.FindAlignedInto(full, n, rec.start[:0])
+			starts, ok := st.FindAligned(full, n, rec.start[:0])
 			if !ok {
 				break // more slots cannot become available
 			}
@@ -673,13 +626,7 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 			}
 			rec.path = append(rec.path[:0], full...)
 			rec.start = starts
-			hops := 0
-			for _, l := range rec.path {
-				if l < ev.meshLinks {
-					hops++
-				}
-			}
-			rec.hops = int32(hops)
+			rec.hops = ev.pathHops(rec.path)
 			return nil
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"nocmap/internal/route"
 	"nocmap/internal/tdma"
 	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
@@ -216,6 +215,11 @@ type mapper struct {
 
 	journal   []resRecord
 	nextOwner int32
+	// res and probe are the evaluation scratch's reservation working state:
+	// reserveSlots writes each granted path and starts into probe, and the
+	// mapper copies them out.
+	res   *reserveScratch
+	probe *resRecord
 	// scanFrom skips the done prefix of the flow list in chooseNext; flows
 	// only ever transition to done, so the hint is monotone and safe.
 	scanFrom int
@@ -563,7 +567,7 @@ func compareCands(a, b switchCand) int {
 func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared int) []int {
 	// Rank reachability with a 1-slot requirement: per-link feasibility for
 	// the actual reservation is re-checked during routing.
-	dist, err := route.LeastCostTree(m.top, m.states[group], topology.SwitchID(from), 1, m.p.Cost)
+	dist, err := m.ev.paths.LeastCostTree(m.res.route, m.states[group], topology.SwitchID(from), 1)
 	if err != nil {
 		return nil
 	}
@@ -699,13 +703,13 @@ func (m *mapper) reservePair(g int, key traffic.PairKey, bw, latencyNS float64, 
 	srcS, dstS := m.coreSwitch[key.Src], m.coreSwitch[key.Dst]
 	egress := m.niEgress(m.coreNI[key.Src])
 	ingress := m.niIngress(m.coreNI[key.Dst])
-	path, starts, n, err := m.ev.reserveSlots(m.states[g], m.nextOwner, key, srcS, dstS, egress, ingress, bw, latencyNS)
-	if err != nil {
-		return err
+	if err := m.ev.reserveSlots(m.res, m.states[g], m.nextOwner, key, srcS, dstS, egress, ingress, bw, latencyNS, m.probe); err != nil {
+		return m.reserveError(err, key, srcS, dstS, bw, latencyNS)
 	}
 	owner := m.nextOwner
 	m.nextOwner++
-	m.configs[g][key] = &Assignment{Path: path, Starts: starts, SlotCount: n}
+	path, starts := slices.Clone(m.probe.path), slices.Clone(m.probe.start)
+	m.configs[g][key] = &Assignment{Path: path, Starts: starts, SlotCount: len(starts)}
 	// The pair's projected demand is now realized.
 	demand := 0
 	if m.remOut != nil {
@@ -715,6 +719,23 @@ func (m *mapper) reservePair(g int, key traffic.PairKey, bw, latencyNS float64, 
 	}
 	m.journal = append(m.journal, resRecord{group: g, owner: owner, path: path, start: starts, key: key, demand: demand})
 	return nil
+}
+
+// reserveError describes a reserveSlots sentinel for the failed reservation
+// of key between switches srcS and dstS; any other error passes through.
+func (m *mapper) reserveError(err error, key traffic.PairKey, srcS, dstS int, bw, latencyNS float64) error {
+	slots0 := tdma.SlotsNeeded(bw, m.p.SlotBandwidthMBs())
+	switch err {
+	case errOverCapacity:
+		return fmt.Errorf("flow %d->%d needs %d slots, table has %d (bandwidth %0.1f exceeds link capacity %0.1f MB/s)",
+			key.Src, key.Dst, slots0, m.p.SlotTableSize, bw, m.p.LinkBandwidthMBs())
+	case errNoPath:
+		return fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)", key.Src, key.Dst, srcS, dstS, slots0)
+	case errNoAligned:
+		return fmt.Errorf("flow %d->%d: no aligned slots (need %d, latency budget %d slots) on any of %d paths",
+			key.Src, key.Dst, slots0, m.p.LatencyBudgetSlots(latencyNS), m.res.paths)
+	}
+	return err
 }
 
 func (m *mapper) rollback(mark int) {

@@ -419,7 +419,7 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 			}
 			key := s.ev.pairList[idx]
 			rec := s.getRec()
-			err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g], s.nextOwner, key,
+			err := s.ev.reserveSlots(&s.sc.res, s.states[g], s.nextOwner, key,
 				s.cs[key.Src], s.cs[key.Dst], s.niEgress(s.cn[key.Src]), s.niIngress(s.cn[key.Dst]),
 				plan.bw[gi], plan.lat[gi], rec)
 			if err != nil {
@@ -479,7 +479,7 @@ func (s *Session) rebuildGroup(g int) error {
 	for _, pd := range s.ev.groupPairs[g] {
 		key := pd.key
 		rec := s.getRec()
-		err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g], s.nextOwner, key,
+		err := s.ev.reserveSlots(&s.sc.res, s.states[g], s.nextOwner, key,
 			s.cs[key.Src], s.cs[key.Dst], s.niEgress(s.cn[key.Src]), s.niIngress(s.cn[key.Dst]),
 			pd.bw, pd.lat, rec)
 		if err != nil {

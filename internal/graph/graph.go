@@ -186,65 +186,11 @@ type CostFunc func(arc Arc) float64
 // cost function.
 var ErrNoPath = errors.New("graph: no path")
 
-// ShortestPath runs Dijkstra from src to dst under cost. It returns the arc
-// indices of a least-cost path and the total cost. Arcs priced negative or
-// +Inf are treated as absent. Ties are broken deterministically by preferring
-// lower vertex indices.
-func (g *Directed) ShortestPath(src, dst int, cost CostFunc) ([]int, float64, error) {
-	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
-		return nil, 0, fmt.Errorf("graph: shortest path endpoints (%d,%d) out of range [0,%d)", src, dst, g.n)
-	}
-	dist, via := g.dijkstra(src, cost, dst)
-	if via == nil || (dist[dst] != dist[dst]) || dist[dst] < 0 { // NaN or unreached marker
-		return nil, 0, ErrNoPath
-	}
-	if via[dst] == -1 && src != dst {
-		return nil, 0, ErrNoPath
-	}
-	// Reconstruct.
-	var rev []int
-	for v := dst; v != src; {
-		a := via[v]
-		rev = append(rev, a)
-		v = g.arcs[a].From
-	}
-	path := make([]int, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
-	}
-	return path, dist[dst], nil
-}
-
-// ShortestTree runs Dijkstra from src under cost and returns, for each
-// vertex, the cost of the best path from src (negative if unreachable) and
-// the incoming arc on that path (-1 for src and unreachable vertices).
-func (g *Directed) ShortestTree(src int, cost CostFunc) (dist []float64, via []int, err error) {
-	if src < 0 || src >= g.n {
-		return nil, nil, fmt.Errorf("graph: shortest tree source %d out of range [0,%d)", src, g.n)
-	}
-	dist, via = g.dijkstra(src, cost, -1)
-	return dist, via, nil
-}
-
-// PathVertices expands a path of arc indices into the vertex sequence it
-// visits, starting from the first arc's tail.
-func (g *Directed) PathVertices(path []int) []int {
-	if len(path) == 0 {
-		return nil
-	}
-	verts := make([]int, 0, len(path)+1)
-	verts = append(verts, g.arcs[path[0]].From)
-	for _, a := range path {
-		verts = append(verts, g.arcs[a].To)
-	}
-	return verts
-}
-
 // SPScratch is the reusable state of repeated shortest-path queries on one
 // goroutine: the Dijkstra working arrays, the heap and the path buffer. A
 // zero SPScratch is ready to use; buffers grow to the graph size on first
-// use and are retained. Not safe for concurrent use — one scratch per
-// searching goroutine, like tdma.State.
+// use and are retained, so one scratch serves graphs of any size. Not safe
+// for concurrent use — one scratch per searching goroutine, like tdma.State.
 type SPScratch struct {
 	dist []float64
 	via  []int
@@ -265,14 +211,16 @@ func (sc *SPScratch) grow(n int) {
 	sc.done = sc.done[:n]
 }
 
-// ShortestPathInto is ShortestPath with every working allocation drawn from
-// the scratch: the returned path slice is owned by the scratch and valid
-// only until its next use. Results are identical to ShortestPath.
-func (g *Directed) ShortestPathInto(src, dst int, cost CostFunc, sc *SPScratch) ([]int, float64, error) {
+// ShortestPath runs Dijkstra from src to dst under cost. It returns the arc
+// indices of a least-cost path and the total cost. Arcs priced negative or
+// +Inf are treated as absent. Ties are broken deterministically by preferring
+// lower vertex indices. The returned path is owned by sc and valid only
+// until sc's next use.
+func (g *Directed) ShortestPath(src, dst int, cost CostFunc, sc *SPScratch) ([]int, float64, error) {
 	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
 		return nil, 0, fmt.Errorf("graph: shortest path endpoints (%d,%d) out of range [0,%d)", src, dst, g.n)
 	}
-	dist, via := g.dijkstraInto(src, cost, dst, sc)
+	dist, via := g.dijkstra(src, cost, dst, sc)
 	if via == nil || (dist[dst] != dist[dst]) || dist[dst] < 0 { // NaN or unreached marker
 		return nil, 0, ErrNoPath
 	}
@@ -293,17 +241,24 @@ func (g *Directed) ShortestPathInto(src, dst int, cost CostFunc, sc *SPScratch) 
 	return path, dist[dst], nil
 }
 
-const unreached = -1.0
-
-// dijkstra computes least costs from src. dist[v] < 0 marks unreachable.
-// If stop >= 0, the search terminates once stop is settled.
-func (g *Directed) dijkstra(src int, cost CostFunc, stop int) ([]float64, []int) {
-	return g.dijkstraInto(src, cost, stop, &SPScratch{})
+// ShortestTree runs Dijkstra from src under cost and returns, for each
+// vertex, the cost of the best path from src (negative if unreachable) and
+// the incoming arc on that path (-1 for src and unreachable vertices). Both
+// slices are owned by sc and valid only until sc's next use.
+func (g *Directed) ShortestTree(src int, cost CostFunc, sc *SPScratch) (dist []float64, via []int, err error) {
+	if src < 0 || src >= g.n {
+		return nil, nil, fmt.Errorf("graph: shortest tree source %d out of range [0,%d)", src, g.n)
+	}
+	dist, via = g.dijkstra(src, cost, -1, sc)
+	return dist, via, nil
 }
 
-// dijkstraInto is dijkstra over scratch-owned arrays. The returned slices
-// alias the scratch.
-func (g *Directed) dijkstraInto(src int, cost CostFunc, stop int, sc *SPScratch) ([]float64, []int) {
+const unreached = -1.0
+
+// dijkstra computes least costs from src over the scratch's arrays, which
+// the returned slices alias. dist[v] < 0 marks unreachable. If stop >= 0,
+// the search terminates once stop is settled.
+func (g *Directed) dijkstra(src int, cost CostFunc, stop int, sc *SPScratch) ([]float64, []int) {
 	sc.grow(g.n)
 	dist, via, done := sc.dist, sc.via, sc.done
 	for i := range dist {

@@ -173,16 +173,24 @@ func buildLine(n int) *Directed {
 	return g
 }
 
+// sharedSP is the one shortest-path scratch every query in this file runs
+// on, across graphs of different sizes: results must not depend on what an
+// earlier query left in it.
+var sharedSP SPScratch
+
 func TestShortestPathLine(t *testing.T) {
 	g := buildLine(5)
-	path, cost, err := g.ShortestPath(0, 4, unitCost)
+	path, cost, err := g.ShortestPath(0, 4, unitCost, &sharedSP)
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
 	if cost != 4 || len(path) != 4 {
 		t.Errorf("cost=%v len=%d, want 4,4", cost, len(path))
 	}
-	verts := g.PathVertices(path)
+	verts := []int{g.Arc(path[0]).From}
+	for _, a := range path {
+		verts = append(verts, g.Arc(a).To)
+	}
 	if !reflect.DeepEqual(verts, []int{0, 1, 2, 3, 4}) {
 		t.Errorf("vertices = %v", verts)
 	}
@@ -190,7 +198,7 @@ func TestShortestPathLine(t *testing.T) {
 
 func TestShortestPathSameVertex(t *testing.T) {
 	g := buildLine(3)
-	path, cost, err := g.ShortestPath(1, 1, unitCost)
+	path, cost, err := g.ShortestPath(1, 1, unitCost, &sharedSP)
 	if err != nil {
 		t.Fatalf("ShortestPath(v,v): %v", err)
 	}
@@ -201,7 +209,7 @@ func TestShortestPathSameVertex(t *testing.T) {
 
 func TestShortestPathUnreachable(t *testing.T) {
 	g := buildLine(3) // arcs only forward
-	if _, _, err := g.ShortestPath(2, 0, unitCost); err != ErrNoPath {
+	if _, _, err := g.ShortestPath(2, 0, unitCost, &sharedSP); err != ErrNoPath {
 		t.Errorf("err = %v, want ErrNoPath", err)
 	}
 }
@@ -217,7 +225,7 @@ func TestShortestPathForbiddenArc(t *testing.T) {
 		}
 		return 1
 	}
-	path, c, err := g.ShortestPath(0, 2, cost)
+	path, c, err := g.ShortestPath(0, 2, cost, &sharedSP)
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
@@ -231,7 +239,7 @@ func TestShortestPathForbiddenArc(t *testing.T) {
 		}
 		return 1
 	}
-	if path2, _, err := g.ShortestPath(0, 2, cost2); err != nil || len(path2) != 2 {
+	if path2, _, err := g.ShortestPath(0, 2, cost2, &sharedSP); err != nil || len(path2) != 2 {
 		t.Errorf("negative-cost arc not excluded: path=%v err=%v", path2, err)
 	}
 }
@@ -248,7 +256,7 @@ func TestShortestPathPrefersCheap(t *testing.T) {
 		}
 		return 1
 	}
-	path, c, err := g.ShortestPath(0, 3, cost)
+	path, c, err := g.ShortestPath(0, 3, cost, &sharedSP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,17 +267,17 @@ func TestShortestPathPrefersCheap(t *testing.T) {
 
 func TestShortestPathOutOfRange(t *testing.T) {
 	g := buildLine(3)
-	if _, _, err := g.ShortestPath(-1, 2, unitCost); err == nil {
+	if _, _, err := g.ShortestPath(-1, 2, unitCost, &sharedSP); err == nil {
 		t.Error("negative src should error")
 	}
-	if _, _, err := g.ShortestPath(0, 3, unitCost); err == nil {
+	if _, _, err := g.ShortestPath(0, 3, unitCost, &sharedSP); err == nil {
 		t.Error("dst out of range should error")
 	}
 }
 
 func TestShortestTree(t *testing.T) {
 	g := buildLine(4)
-	dist, via, err := g.ShortestTree(0, unitCost)
+	dist, via, err := g.ShortestTree(0, unitCost, &sharedSP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +289,7 @@ func TestShortestTree(t *testing.T) {
 		t.Errorf("via[src] = %d, want -1", via[0])
 	}
 	// Backwards tree: unreachable vertices are negative.
-	dist2, _, err := g.ShortestTree(3, unitCost)
+	dist2, _, err := g.ShortestTree(3, unitCost, &sharedSP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,15 +310,9 @@ func TestAddArcOutOfRange(t *testing.T) {
 	}
 }
 
-func TestPathVerticesEmpty(t *testing.T) {
-	g := buildLine(2)
-	if v := g.PathVertices(nil); v != nil {
-		t.Errorf("PathVertices(nil) = %v, want nil", v)
-	}
-}
-
 // Dijkstra on random grid-ish graphs: cost must equal BFS hop count under
-// unit costs, and path arcs must be contiguous.
+// unit costs, and path arcs must be contiguous. One scratch serves graphs of
+// 2 to 31 vertices.
 func TestDijkstraMatchesBFSProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -340,7 +342,18 @@ func TestDijkstraMatchesBFSProperty(t *testing.T) {
 				}
 			}
 		}
-		path, cost, err := g.ShortestPath(src, dst, unitCost)
+		path, cost, err := g.ShortestPath(src, dst, unitCost, &sharedSP)
+		path = append([]int(nil), path...) // the tree query below reuses the scratch
+		// The tree from src must agree with BFS on every vertex.
+		dist, _, terr := g.ShortestTree(src, unitCost, &sharedSP)
+		if terr != nil {
+			return false
+		}
+		for v, d := range distBFS {
+			if (d < 0) != (dist[v] < 0) || (d >= 0 && int(dist[v]) != d) {
+				return false
+			}
+		}
 		if distBFS[dst] < 0 {
 			return err == ErrNoPath
 		}

@@ -5,27 +5,23 @@
 //
 // Guaranteed-throughput flows are deadlock-free by construction — TDMA
 // reservations mean flits never block inside the network — so GT path
-// selection may use arbitrary paths on any topology (LeastCost is plain
-// Dijkstra over the fabric graph). The dimension-ordered (XY) generator is
-// wrap-aware on tori, taking the shorter ring direction per dimension; its
-// paths are minimal on every fabric that has dimensions. On a mesh XY is
-// additionally deadlock-free under the turn model and therefore usable for
-// best-effort traffic; on a torus wrap links close cyclic channel
-// dependencies within each ring, so torus XY paths are NOT deadlock-free
-// for BE traffic without virtual channels or datelines — here they serve
-// only as GT path candidates, where TDMA reservations make blocking
-// impossible. Custom fabrics have no dimension structure: only least-cost
-// routing applies there.
+// selection may use arbitrary paths on any topology: the least-cost
+// candidate is plain Dijkstra over the fabric graph. On meshes and tori the
+// candidate set adds the minimal (monotone) paths, which on a torus take the
+// shorter ring direction per dimension. Custom fabrics have no dimension
+// structure: only least-cost routing applies there.
 //
-// The package is stateless: every query reads the caller's topology and
-// slot-table state and allocates nothing shared, so concurrent engine runs
-// on the service worker pool route independently without locking.
+// A Table holds the state-independent half of candidate generation for one
+// topology and is shared: it is safe for concurrent use, so the portfolio's
+// workers and the service's worker pool route over one table per fabric.
+// The mutable working state of a query lives in a Scratch, one per
+// goroutine; the paths and distances a query returns are owned by its
+// scratch and valid only until the scratch's next use.
 package route
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"nocmap/internal/graph"
@@ -79,51 +75,6 @@ func PathCost(st *tdma.State, path Path, neededSlots int, p CostParams) float64 
 	return sum
 }
 
-// LeastCost runs Dijkstra over the topology under the residual-state cost
-// and returns the cheapest feasible path from src to dst. It reports
-// ErrNoPath via the wrapped graph error if every route is saturated.
-func LeastCost(top *topology.Topology, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) (Path, float64, error) {
-	arcs, cost, err := top.Graph().ShortestPath(int(src), int(dst), func(a graph.Arc) float64 {
-		return LinkCost(st, a.ID, neededSlots, p)
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("route: %d->%d with %d slots: %w", src, dst, neededSlots, err)
-	}
-	path := make(Path, len(arcs))
-	for i, a := range arcs {
-		path[i] = topology.LinkID(a)
-	}
-	return path, cost, nil
-}
-
-// LeastCostTree computes, from a single source, the least path cost to every
-// switch (negative = unreachable) under the residual-state cost. The mapper
-// uses it to evaluate every candidate placement of an unmapped core in one
-// Dijkstra run.
-func LeastCostTree(top *topology.Topology, st *tdma.State, src topology.SwitchID, neededSlots int, p CostParams) ([]float64, error) {
-	dist, _, err := top.Graph().ShortestTree(int(src), func(a graph.Arc) float64 {
-		return LinkCost(st, a.ID, neededSlots, p)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("route: tree from %d: %w", src, err)
-	}
-	return dist, nil
-}
-
-// XY returns the dimension-ordered path: first along the row (X/columns),
-// then along the column (Y/rows). It is minimal everywhere and deadlock-free
-// on a mesh; on a torus each dimension is traversed in the shorter wrap
-// direction, so the hop count never exceeds ⌊Cols/2⌋ + ⌊Rows/2⌋ (see the
-// package comment for the torus deadlock caveat).
-func XY(top *topology.Topology, src, dst topology.SwitchID) (Path, error) {
-	return dimOrdered(top, src, dst, true)
-}
-
-// YX returns the column-first dimension-ordered path.
-func YX(top *topology.Topology, src, dst topology.SwitchID) (Path, error) {
-	return dimOrdered(top, src, dst, false)
-}
-
 // dimSteps returns how many steps and in which per-step direction (+1/-1) to
 // travel from a to b along one dimension of size n. With wrap the shorter
 // ring direction is taken; ties prefer the direct (mesh) direction, keeping
@@ -146,59 +97,6 @@ func dimSteps(n, a, b int, wrap bool) (steps, dir int) {
 
 // step advances one position along a dimension of size n, wrapping modulo n.
 func step(n, pos, dir int) int { return ((pos+dir)%n + n) % n }
-
-func dimOrdered(top *topology.Topology, src, dst topology.SwitchID, xFirst bool) (Path, error) {
-	if top.Kind == topology.KindCustom {
-		return nil, fmt.Errorf("route: dimension-ordered routing needs a mesh or torus, have %s", top.Kind)
-	}
-	wrap := top.Kind == topology.KindTorus
-	sr, sc := top.Coord(src)
-	dr, dc := top.Coord(dst)
-	colSteps, colDir := dimSteps(top.Cols, sc, dc, wrap)
-	rowSteps, rowDir := dimSteps(top.Rows, sr, dr, wrap)
-	var path Path
-	cur := src
-	stepCol := func() error {
-		for ; colSteps > 0; colSteps-- {
-			sc = step(top.Cols, sc, colDir)
-			l, ok := top.FindLink(cur, top.At(sr, sc))
-			if !ok {
-				return fmt.Errorf("route: missing link at (%d,%d)", sr, sc)
-			}
-			path = append(path, l)
-			cur = top.At(sr, sc)
-		}
-		return nil
-	}
-	stepRow := func() error {
-		for ; rowSteps > 0; rowSteps-- {
-			sr = step(top.Rows, sr, rowDir)
-			l, ok := top.FindLink(cur, top.At(sr, sc))
-			if !ok {
-				return fmt.Errorf("route: missing link at (%d,%d)", sr, sc)
-			}
-			path = append(path, l)
-			cur = top.At(sr, sc)
-		}
-		return nil
-	}
-	if xFirst {
-		if err := stepCol(); err != nil {
-			return nil, err
-		}
-		if err := stepRow(); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := stepRow(); err != nil {
-			return nil, err
-		}
-		if err := stepCol(); err != nil {
-			return nil, err
-		}
-	}
-	return path, nil
-}
 
 // MinimalPaths enumerates minimal (monotone) paths from src to dst, up to
 // cap paths; with cap <= 0 all are returned. On a mesh these are the classic
@@ -263,35 +161,18 @@ func dimDirs(n, a, b int, wrap bool) (steps int, dirs []int) {
 	return steps, dirs
 }
 
-// Candidates assembles a deterministic, deduplicated list of candidate paths
-// for a flow, cheapest first: the Dijkstra least-cost path (which may detour
-// around saturated links), then minimal paths ordered by residual cost. At
-// most p.MaxCandidates paths are returned; infeasible (infinite-cost) paths
-// are dropped.
-func Candidates(top *topology.Topology, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
-	max := maxCandidates(p)
-	return assemble(top, st, src, dst, neededSlots, p, MinimalPaths(top, src, dst, 2*max), max)
-}
-
-func maxCandidates(p CostParams) int {
-	if p.MaxCandidates <= 0 {
-		return 8
-	}
-	return p.MaxCandidates
-}
-
 // Table caches the state-independent half of candidate generation — the
 // minimal-path enumeration per (src, dst) switch pair — for one fixed
-// topology. An evaluation engine that scores thousands of placements on the
-// same fabric (core.Evaluator under the annealer) pays the staircase-path
-// recursion once per pair instead of once per flow per candidate placement.
-// The state-dependent half (the Dijkstra least-cost path and the residual
-// cost ordering) is still computed per query, so Table.Candidates returns
-// exactly what Candidates would for the same inputs. A Table is safe for
-// concurrent use; the portfolio's workers share one per topology.
+// topology and cost model. An evaluation engine that scores thousands of
+// placements on the same fabric (core.Evaluator under the annealer) pays the
+// staircase-path recursion once per pair instead of once per flow per
+// candidate placement. The state-dependent half (the Dijkstra least-cost
+// path and the residual cost ordering) is computed per query. A Table is
+// safe for concurrent use; the portfolio's workers share one per topology.
 type Table struct {
 	top *topology.Topology
-	max int // candidate cap the cached enumeration was sized for
+	p   CostParams
+	max int // candidate cap, also the size the cached enumeration was built for
 
 	mu      sync.RWMutex
 	minimal map[pairIndex][]Path
@@ -299,17 +180,14 @@ type Table struct {
 
 type pairIndex struct{ src, dst topology.SwitchID }
 
-// NewTable creates an empty candidate-path table for the topology. The cost
-// params fix the candidate cap; queries must use the same MaxCandidates (the
-// evaluator owns both, so this holds by construction).
+// NewTable creates an empty candidate-path table for the topology under the
+// cost params every query on it uses. A non-positive MaxCandidates means 8.
 func NewTable(top *topology.Topology, p CostParams) *Table {
-	return &Table{top: top, max: maxCandidates(p), minimal: make(map[pairIndex][]Path)}
-}
-
-// Candidates is Candidates computed against the cached minimal-path
-// enumeration. Results are identical to the package-level function.
-func (t *Table) Candidates(st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
-	return assemble(t.top, st, src, dst, neededSlots, p, t.minimalFor(src, dst), t.max)
+	max := p.MaxCandidates
+	if max <= 0 {
+		max = 8
+	}
+	return &Table{top: top, p: p, max: max, minimal: make(map[pairIndex][]Path)}
 }
 
 // minimalFor returns (computing and caching on first use) the minimal-path
@@ -328,11 +206,11 @@ func (t *Table) minimalFor(src, dst topology.SwitchID) []Path {
 	return minimal
 }
 
-// Scratch holds the reusable working state of repeated candidate queries on
+// Scratch holds the reusable working state of repeated table queries on
 // one goroutine: the Dijkstra scratch, the cost closure, and the scoring and
 // output buffers. Obtain one with NewScratch; a Scratch is not safe for
-// concurrent use, and the paths a CandidatesInto call returns are valid only
-// until the scratch's next use.
+// concurrent use, and what a query returns is valid only until the
+// scratch's next use.
 type Scratch struct {
 	sp     graph.SPScratch
 	st     *tdma.State
@@ -359,17 +237,23 @@ func NewScratch() *Scratch {
 	return sc
 }
 
-// CandidatesInto is Table.Candidates with every working allocation drawn
-// from the scratch. The returned slice — and the least-cost path it may
-// contain — are owned by the scratch and overwritten by the next call;
-// minimal paths in the slice alias the table's immutable cache. Results are
-// identical to Candidates.
-func (t *Table) CandidatesInto(sc *Scratch, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
+// Candidates returns a deterministic, deduplicated list of candidate paths
+// from src to dst for a flow needing neededSlots slots per link, cheapest
+// first under st's residual cost: the Dijkstra least-cost path (which may
+// detour around saturated links), then the cached minimal paths. At most
+// the table's MaxCandidates paths are returned; infeasible (infinite-cost)
+// paths are dropped. The minimal enumeration never repeats a path, so the
+// only possible duplicate is the least-cost path reappearing among the
+// minimals. The returned slice — and the least-cost path it may contain —
+// are owned by the scratch and overwritten by its next use; minimal paths
+// in the slice alias the table's immutable cache.
+func (t *Table) Candidates(sc *Scratch, st *tdma.State, src, dst topology.SwitchID, neededSlots int) []Path {
 	minimal := t.minimalFor(src, dst)
+	p := t.p
 	sc.st, sc.needed, sc.cp = st, neededSlots, p
 	sc.scored = sc.scored[:0]
 	var lc Path
-	if arcs, _, err := t.top.Graph().ShortestPathInto(int(src), int(dst), sc.costFn, &sc.sp); err == nil {
+	if arcs, _, err := t.top.Graph().ShortestPath(int(src), int(dst), sc.costFn, &sc.sp); err == nil {
 		buf := sc.lc[:0]
 		for _, a := range arcs {
 			buf = append(buf, topology.LinkID(a))
@@ -391,8 +275,7 @@ func (t *Table) CandidatesInto(sc *Scratch, st *tdma.State, src, dst topology.Sw
 		sc.scored = append(sc.scored, scoredPath{m, c})
 	}
 	// Stable insertion sort by cost: equal-cost candidates keep their
-	// insertion order, matching assemble's sort.SliceStable without its
-	// reflection allocations (the candidate set is at most 2*max+1 paths).
+	// insertion order (the candidate set is at most 2*max+1 paths).
 	cands := sc.scored
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && cands[j].cost < cands[j-1].cost; j-- {
@@ -410,53 +293,18 @@ func (t *Table) CandidatesInto(sc *Scratch, st *tdma.State, src, dst topology.Sw
 	return out
 }
 
-// assemble scores, deduplicates, orders and trims the candidate set from the
-// Dijkstra least-cost path plus the supplied minimal paths. The minimal
-// enumeration never repeats a path, so the only possible duplicate is the
-// least-cost path reappearing among the minimals — one slice comparison per
-// minimal, no keying allocation on this very hot call.
-func assemble(top *topology.Topology, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams, minimal []Path, max int) []Path {
-	type scored struct {
-		path Path
-		cost float64
+// LeastCostTree computes, from a single source, the least path cost to
+// every switch (negative = unreachable) under st's residual cost for a flow
+// needing neededSlots slots per link. The mapper uses it to score every
+// candidate placement of an unmapped core in one Dijkstra run. The returned
+// slice is owned by the scratch and overwritten by its next use.
+func (t *Table) LeastCostTree(sc *Scratch, st *tdma.State, src topology.SwitchID, neededSlots int) ([]float64, error) {
+	sc.st, sc.needed, sc.cp = st, neededSlots, t.p
+	dist, _, err := t.top.Graph().ShortestTree(int(src), sc.costFn, &sc.sp)
+	if err != nil {
+		return nil, fmt.Errorf("route: tree from %d: %w", src, err)
 	}
-	cands := make([]scored, 0, len(minimal)+1)
-	var lc Path
-	if path, _, err := LeastCost(top, st, src, dst, neededSlots, p); err == nil {
-		if c := PathCost(st, path, neededSlots, p); !math.IsInf(c, 1) {
-			lc = path
-			cands = append(cands, scored{path, c})
-		}
-	}
-	for _, m := range minimal {
-		if lc != nil && pathEqual(m, lc) {
-			continue
-		}
-		c := PathCost(st, m, neededSlots, p)
-		if math.IsInf(c, 1) {
-			continue
-		}
-		cands = append(cands, scored{m, c})
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]Path, len(cands))
-	for i, c := range cands {
-		out[i] = c.path
-	}
-	return out
-}
-
-// pathKey is a comparable encoding of a path (used by tests to assert
-// candidate-set equality).
-func pathKey(p Path) string {
-	b := make([]byte, 0, 4*len(p))
-	for _, l := range p {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-	}
-	return string(b)
+	return dist, nil
 }
 
 func pathEqual(a, b Path) bool {
@@ -466,42 +314,6 @@ func pathEqual(a, b Path) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return false
-		}
-	}
-	return true
-}
-
-// Turn describes a change of direction at a switch.
-type Turn struct {
-	At   topology.SwitchID
-	From topology.LinkID
-	To   topology.LinkID
-}
-
-// XYLegal reports whether a path only makes turns permitted by
-// dimension-ordered XY routing (column movement must precede row movement;
-// once a path turns into a row direction it may not turn back). Used to
-// validate best-effort routes on meshes, which rely on XY for deadlock
-// freedom. It checks turn order only: on a torus it accepts wrap-using
-// paths, which XY order alone does not make deadlock-free (ring cycles
-// need virtual channels or datelines).
-func XYLegal(top *topology.Topology, path Path) bool {
-	turnedToRow := false
-	for _, l := range path {
-		link := top.Link(l)
-		fr, fc := top.Coord(link.From)
-		tr, tc := top.Coord(link.To)
-		isRowMove := fr != tr
-		isColMove := fc != tc
-		switch {
-		case isRowMove && isColMove:
-			return false // diagonal links cannot occur in a mesh
-		case isRowMove:
-			turnedToRow = true
-		case isColMove:
-			if turnedToRow {
-				return false
-			}
 		}
 	}
 	return true
@@ -522,13 +334,4 @@ func Contiguous(top *topology.Topology, path Path, src, dst topology.SwitchID) b
 		}
 	}
 	return true
-}
-
-// Ints converts a Path to the []int form used by the tdma package.
-func (p Path) Ints() []int {
-	out := make([]int, len(p))
-	for i, l := range p {
-		out[i] = int(l)
-	}
-	return out
 }

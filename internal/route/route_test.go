@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -50,49 +51,10 @@ func TestLinkCostFreeAndLoaded(t *testing.T) {
 	}
 }
 
-func TestXYandYXShape(t *testing.T) {
-	top := mesh(t, 3, 3)
-	src, dst := top.At(0, 0), top.At(2, 2)
-	xy, err := XY(top, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yx, err := YX(top, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(xy) != 4 || len(yx) != 4 {
-		t.Fatalf("path lengths %d,%d, want 4,4", len(xy), len(yx))
-	}
-	if !Contiguous(top, xy, src, dst) || !Contiguous(top, yx, src, dst) {
-		t.Error("paths not contiguous")
-	}
-	if !XYLegal(top, xy) {
-		t.Error("XY path reported illegal")
-	}
-	if XYLegal(top, yx) {
-		t.Error("YX path (row-first) must be XY-illegal for a true L-shape")
-	}
-	// Same row: both coincide and are legal.
-	xy2, _ := XY(top, top.At(1, 0), top.At(1, 2))
-	if len(xy2) != 2 || !XYLegal(top, xy2) {
-		t.Error("straight path wrong")
-	}
-}
-
-func TestXYSelfPath(t *testing.T) {
-	top := mesh(t, 2, 2)
-	p, err := XY(top, top.At(0, 0), top.At(0, 0))
-	if err != nil || len(p) != 0 {
-		t.Errorf("self path = %v, %v", p, err)
-	}
-}
-
-// Regression: dim-ordered routing on a torus must take the shorter wrap
-// direction, so no path exceeds ⌈rows/2⌉ + ⌈cols/2⌉ hops. Before the fix XY
-// on a torus was rejected outright (and an unguarded walk would have taken
-// the long way round).
-func TestXYTorusWrapHopBound(t *testing.T) {
+// Regression: minimal paths on a torus must take the shorter wrap
+// direction, so no path exceeds ⌈rows/2⌉ + ⌈cols/2⌉ hops; an unguarded walk
+// would take the long way round.
+func TestMinimalPathsTorusHopBound(t *testing.T) {
 	for _, size := range [][2]int{{3, 3}, {4, 5}, {5, 4}, {5, 5}} {
 		rows, cols := size[0], size[1]
 		tor, err := topology.NewTorus(rows, cols, 8)
@@ -102,20 +64,20 @@ func TestXYTorusWrapHopBound(t *testing.T) {
 		bound := (rows+1)/2 + (cols+1)/2
 		for src := topology.SwitchID(0); int(src) < tor.NumSwitches(); src++ {
 			for dst := topology.SwitchID(0); int(dst) < tor.NumSwitches(); dst++ {
-				for name, gen := range map[string]func(*topology.Topology, topology.SwitchID, topology.SwitchID) (Path, error){"XY": XY, "YX": YX} {
-					p, err := gen(tor, src, dst)
-					if err != nil {
-						t.Fatalf("%s %dx%d %d->%d: %v", name, rows, cols, src, dst, err)
-					}
+				paths := MinimalPaths(tor, src, dst, 0)
+				if len(paths) == 0 {
+					t.Fatalf("%dx%d %d->%d: no minimal path", rows, cols, src, dst)
+				}
+				for _, p := range paths {
 					if len(p) > bound {
-						t.Fatalf("%s %dx%d %d->%d: %d hops exceeds wrap bound %d (path %v)",
-							name, rows, cols, src, dst, len(p), bound, p)
+						t.Fatalf("%dx%d %d->%d: %d hops exceeds wrap bound %d (path %v)",
+							rows, cols, src, dst, len(p), bound, p)
 					}
 					if want := tor.HopDistance(src, dst); len(p) != want {
-						t.Fatalf("%s %dx%d %d->%d: %d hops, hop distance %d", name, rows, cols, src, dst, len(p), want)
+						t.Fatalf("%dx%d %d->%d: %d hops, hop distance %d", rows, cols, src, dst, len(p), want)
 					}
 					if !Contiguous(tor, p, src, dst) {
-						t.Fatalf("%s %dx%d %d->%d: discontiguous path %v", name, rows, cols, src, dst, p)
+						t.Fatalf("%dx%d %d->%d: discontiguous path %v", rows, cols, src, dst, p)
 					}
 				}
 			}
@@ -174,9 +136,6 @@ func TestMinimalPathsTorusWrap(t *testing.T) {
 	if got := MinimalPaths(custom, 0, 2, 0); got != nil {
 		t.Errorf("custom minimal paths = %v, want nil", got)
 	}
-	if _, err := XY(custom, 0, 2); err == nil {
-		t.Error("XY on a custom fabric should be rejected")
-	}
 }
 
 func TestMinimalPathsCount(t *testing.T) {
@@ -214,10 +173,11 @@ func TestLeastCostAvoidsSaturation(t *testing.T) {
 	if err := st.Reserve(9, []int{int(direct)}, []int{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	path, _, err := LeastCost(top, st, src, dst, 1, p)
-	if err != nil {
-		t.Fatalf("LeastCost: %v", err)
+	cands := NewTable(top, p).Candidates(NewScratch(), st, src, dst, 1)
+	if len(cands) == 0 {
+		t.Fatal("no candidate around the saturated link")
 	}
+	path := cands[0]
 	if len(path) != 3 {
 		t.Errorf("detour length = %d, want 3 (around the square)", len(path))
 	}
@@ -238,15 +198,15 @@ func TestLeastCostNoPath(t *testing.T) {
 	if err := st.Reserve(1, []int{1}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LeastCost(top, st, 0, 1, 1, DefaultCostParams()); err == nil {
-		t.Error("saturated network should yield no path")
+	if cands := NewTable(top, DefaultCostParams()).Candidates(NewScratch(), st, 0, 1, 1); len(cands) != 0 {
+		t.Errorf("saturated network yielded candidates %v", cands)
 	}
 }
 
 func TestLeastCostTree(t *testing.T) {
 	top := mesh(t, 2, 3)
 	st := state(t, top, 8)
-	dist, err := LeastCostTree(top, st, top.At(0, 0), 1, DefaultCostParams())
+	dist, err := NewTable(top, DefaultCostParams()).LeastCostTree(NewScratch(), st, top.At(0, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +226,7 @@ func TestCandidatesOrderingAndDedup(t *testing.T) {
 	top := mesh(t, 3, 3)
 	st := state(t, top, 8)
 	p := DefaultCostParams()
-	cands := Candidates(top, st, top.At(0, 0), top.At(2, 2), 1, p)
+	cands := NewTable(top, p).Candidates(NewScratch(), st, top.At(0, 0), top.At(2, 2), 1)
 	if len(cands) == 0 {
 		t.Fatal("no candidates on a fresh mesh")
 	}
@@ -298,16 +258,8 @@ func TestCandidatesSkipInfeasible(t *testing.T) {
 	if err := st.Reserve(1, []int{0}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if cands := Candidates(top, st, 0, 1, 1, DefaultCostParams()); len(cands) != 0 {
+	if cands := NewTable(top, DefaultCostParams()).Candidates(NewScratch(), st, 0, 1, 1); len(cands) != 0 {
 		t.Errorf("saturated mesh candidates = %v, want none", cands)
-	}
-}
-
-func TestPathInts(t *testing.T) {
-	p := Path{3, 1, 2}
-	ints := p.Ints()
-	if len(ints) != 3 || ints[0] != 3 || ints[2] != 2 {
-		t.Errorf("Ints = %v", ints)
 	}
 }
 
@@ -350,8 +302,8 @@ func TestMinimalPathsProperty(t *testing.T) {
 	}
 }
 
-// Property: the Dijkstra least-cost path on a fresh (uniform) mesh is
-// minimal, and XY/YX are always feasible alternatives of the same length.
+// Property: on a fresh (uniform) mesh the first candidate — the Dijkstra
+// least-cost path — is minimal, and so is every other candidate.
 func TestLeastCostMinimalOnFreshMesh(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -369,19 +321,16 @@ func TestLeastCostMinimalOnFreshMesh(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		path, _, err := LeastCost(top, st, src, dst, 1, DefaultCostParams())
-		if err != nil {
+		cands := NewTable(top, DefaultCostParams()).Candidates(NewScratch(), st, src, dst, 1)
+		if len(cands) == 0 {
 			return false
 		}
-		if len(path) != top.HopDistance(src, dst) {
-			return false
+		for _, c := range cands {
+			if len(c) != top.HopDistance(src, dst) || !Contiguous(top, c, src, dst) {
+				return false
+			}
 		}
-		xy, err := XY(top, src, dst)
-		if err != nil || len(xy) != len(path) || !XYLegal(top, xy) {
-			return false
-		}
-		yx, err := YX(top, src, dst)
-		return err == nil && len(yx) == len(path)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -402,9 +351,12 @@ func max(a, b int) int {
 	return b
 }
 
-// TestTableMatchesCandidates: the cached table must return exactly what the
-// package-level Candidates returns, on fresh and on loaded states, across
-// mesh, torus and repeated queries (cache hits).
+// TestTableMatchesCandidates: one warm Table with one Scratch, reused
+// across interleaved candidate queries, tree queries and reservations, must
+// return exactly what a fresh Table with a fresh Scratch returns for each
+// query, on mesh and torus and on repeated pairs (cache hits). Each result
+// is copied before the next call, so a scratch buffer that a later query
+// overwrites too early shows up as a mismatch.
 func TestTableMatchesCandidates(t *testing.T) {
 	tops := []*topology.Topology{}
 	if m, err := topology.NewMesh(3, 4, 1); err == nil {
@@ -419,26 +371,53 @@ func TestTableMatchesCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := NewTable(top, p)
+		warm, sc := NewTable(top, p), NewScratch()
 		// Load a few links so the residual-cost ordering differs from hops.
 		if err := st.Reserve(1, []int{0, 1}, []int{0, 2, 4}); err != nil {
 			t.Fatal(err)
 		}
+		owner := int32(2)
 		for round := 0; round < 2; round++ { // second round exercises the cache hit
-			for src := 0; src < top.NumSwitches(); src++ {
-				for dst := 0; dst < top.NumSwitches(); dst++ {
+			for src := topology.SwitchID(0); int(src) < top.NumSwitches(); src++ {
+				wantTree, err := NewTable(top, p).LeastCostTree(NewScratch(), st, src, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotTree, err := warm.LeastCostTree(sc, st, src, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotTree, wantTree) {
+					t.Fatalf("%s tree from %d: %v, want %v", top, src, gotTree, wantTree)
+				}
+				for dst := topology.SwitchID(0); int(dst) < top.NumSwitches(); dst++ {
 					if src == dst {
 						continue
 					}
-					want := Candidates(top, st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
-					got := tab.Candidates(st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
+					want := clonePaths(NewTable(top, p).Candidates(NewScratch(), st, src, dst, 2))
+					got := clonePaths(warm.Candidates(sc, st, src, dst, 2))
 					if len(got) != len(want) {
-						t.Fatalf("%s %d->%d: table returned %d candidates, want %d", top, src, dst, len(got), len(want))
+						t.Fatalf("%s %d->%d: warm table returned %d candidates, want %d", top, src, dst, len(got), len(want))
 					}
 					for i := range got {
 						if pathKey(got[i]) != pathKey(want[i]) {
 							t.Fatalf("%s %d->%d: candidate %d differs: %v vs %v", top, src, dst, i, got[i], want[i])
 						}
+					}
+					// Every third pair reserves a slot on its cheapest path, so
+					// later queries run against a changed state.
+					if len(got) == 0 || (int(src)+int(dst))%3 != 0 {
+						continue
+					}
+					links := make([]int, len(got[0]))
+					for i, l := range got[0] {
+						links[i] = int(l)
+					}
+					if starts, ok := st.FindAligned(links, 1, nil); ok {
+						if err := st.Reserve(owner, links, starts); err != nil {
+							t.Fatal(err)
+						}
+						owner++
 					}
 				}
 			}
@@ -446,8 +425,25 @@ func TestTableMatchesCandidates(t *testing.T) {
 	}
 }
 
-// TestTableConcurrent hammers one table from many goroutines; run under
-// -race this pins the locking of the lazy fill.
+func clonePaths(paths []Path) []Path {
+	out := make([]Path, len(paths))
+	for i, p := range paths {
+		out[i] = append(Path(nil), p...)
+	}
+	return out
+}
+
+// pathKey is a comparable encoding of a path.
+func pathKey(p Path) string {
+	b := make([]byte, 0, 4*len(p))
+	for _, l := range p {
+		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+	}
+	return string(b)
+}
+
+// TestTableConcurrent hammers one table from many goroutines, each with its
+// own scratch; run under -race this pins the locking of the lazy fill.
 func TestTableConcurrent(t *testing.T) {
 	top, err := topology.NewMesh(4, 4, 1)
 	if err != nil {
@@ -460,13 +456,14 @@ func TestTableConcurrent(t *testing.T) {
 		go func(seed int) {
 			defer func() { done <- struct{}{} }()
 			st, _ := tdma.NewState(top.NumLinks(), 8)
+			sc := NewScratch()
 			for i := 0; i < 50; i++ {
 				src := topology.SwitchID((seed + i) % top.NumSwitches())
 				dst := topology.SwitchID((seed*3 + i*7) % top.NumSwitches())
 				if src == dst {
 					continue
 				}
-				if got := tab.Candidates(st, src, dst, 1, p); len(got) == 0 {
+				if got := tab.Candidates(sc, st, src, dst, 1); len(got) == 0 {
 					t.Errorf("no candidates %d->%d on empty state", src, dst)
 					return
 				}

@@ -138,14 +138,6 @@ func (s *State) Utilization(link int) float64 {
 	return 1 - float64(s.FreeSlots(link))/float64(s.slots)
 }
 
-// StartFree reports whether starting slot st is free along the whole path
-// under contention-free alignment. The mapper uses it to intersect
-// availability across the states of a smooth-switching group, whose members
-// must carry identical reservations.
-func (s *State) StartFree(path []int, st int) bool {
-	return s.startFree(path, (st%s.slots+s.slots)%s.slots)
-}
-
 // startFree reports whether starting slot st is free along the whole path
 // under contention-free alignment: link path[h] must be free at (st+h) mod T.
 func (s *State) startFree(path []int, st int) bool {
@@ -207,19 +199,13 @@ func (s *State) AvailableStarts(path []int) []int {
 
 // FindAligned selects n starting slots for a reservation along path,
 // spreading them as evenly as possible around the table to minimize the
-// worst-case waiting gap. It returns nil, false if fewer than n aligned
-// starts exist. The path must be non-empty.
-func (s *State) FindAligned(path []int, n int) ([]int, bool) {
-	return s.FindAlignedInto(path, n, nil)
-}
-
-// FindAlignedInto is FindAligned writing the chosen starts into buf
-// (append semantics from buf[:0]; pass nil to allocate). With a word-sized
-// table (slots <= 64) a successful probe performs no heap allocation beyond
-// buf's one-time growth — the hot evaluation path reuses one buffer per
-// record. The returned starts are sorted ascending, identical to
-// FindAligned's.
-func (s *State) FindAlignedInto(path []int, n int, buf []int) ([]int, bool) {
+// worst-case waiting gap, and writes them into buf (append semantics from
+// buf[:0]; pass nil to allocate). The returned starts are sorted ascending.
+// It returns nil, false if fewer than n aligned starts exist or the path is
+// empty. With a word-sized table (slots <= 64) a probe performs no heap
+// allocation beyond buf's one-time growth, so a caller probing many paths
+// reuses one buffer.
+func (s *State) FindAligned(path []int, n int, buf []int) ([]int, bool) {
 	if n <= 0 || len(path) == 0 {
 		return nil, false
 	}

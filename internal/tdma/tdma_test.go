@@ -133,7 +133,7 @@ func TestAvailableStarts(t *testing.T) {
 
 func TestFindAlignedSpacing(t *testing.T) {
 	s := mustState(t, 1, 8)
-	starts, ok := s.FindAligned([]int{0}, 2)
+	starts, ok := s.FindAligned([]int{0}, 2, nil)
 	if !ok || len(starts) != 2 {
 		t.Fatalf("FindAligned = %v,%v", starts, ok)
 	}
@@ -148,17 +148,17 @@ func TestFindAlignedExactAndFail(t *testing.T) {
 	if err := s.Reserve(1, []int{0}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	starts, ok := s.FindAligned([]int{0}, 2)
+	starts, ok := s.FindAligned([]int{0}, 2, nil)
 	if !ok || !reflect.DeepEqual(starts, []int{2, 3}) {
 		t.Errorf("exact-fit FindAligned = %v,%v", starts, ok)
 	}
-	if _, ok := s.FindAligned([]int{0}, 3); ok {
+	if _, ok := s.FindAligned([]int{0}, 3, nil); ok {
 		t.Error("FindAligned found more slots than free")
 	}
-	if _, ok := s.FindAligned([]int{0}, 0); ok {
+	if _, ok := s.FindAligned([]int{0}, 0, nil); ok {
 		t.Error("n=0 should fail")
 	}
-	if _, ok := s.FindAligned(nil, 1); ok {
+	if _, ok := s.FindAligned(nil, 1, nil); ok {
 		t.Error("empty path should fail")
 	}
 }
@@ -253,7 +253,7 @@ func TestReserveReleaseRoundTripProperty(t *testing.T) {
 			plen := 1 + rng.Intn(links)
 			path := rng.Perm(links)[:plen]
 			n := 1 + rng.Intn(3)
-			starts, ok := s.FindAligned(path, n)
+			starts, ok := s.FindAligned(path, n, nil)
 			if !ok {
 				continue
 			}
@@ -290,8 +290,9 @@ func TestReserveReleaseRoundTripProperty(t *testing.T) {
 }
 
 // Property: FindAligned returns sorted, distinct, in-range starts and the
-// count requested.
+// count requested, also when it writes into the buffer of an earlier call.
 func TestFindAlignedShapeProperty(t *testing.T) {
+	var buf []int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		slots := 4 + rng.Intn(60)
@@ -306,10 +307,11 @@ func TestFindAlignedShapeProperty(t *testing.T) {
 		}
 		path := []int{0, 1, 2}
 		n := 1 + rng.Intn(4)
-		starts, ok := s.FindAligned(path, n)
+		starts, ok := s.FindAligned(path, n, buf)
 		if !ok {
 			return len(s.AvailableStarts(path)) < n
 		}
+		buf = starts
 		if len(starts) != n {
 			return false
 		}
@@ -350,7 +352,7 @@ func TestFreeSlotsMatchesTableScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := []int{0, 1, 2}
-	starts, ok := s.FindAligned(path, 3)
+	starts, ok := s.FindAligned(path, 3, nil)
 	if !ok {
 		t.Fatal("FindAligned failed on empty state")
 	}
@@ -358,7 +360,7 @@ func TestFreeSlotsMatchesTableScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	path2 := []int{1, 3}
-	starts2, ok := s.FindAligned(path2, 2)
+	starts2, ok := s.FindAligned(path2, 2, nil)
 	if !ok {
 		t.Fatal("second FindAligned failed")
 	}
@@ -384,7 +386,7 @@ func TestResetRestoresNewState(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := []int{0, 2}
-	starts, ok := s.FindAligned(path, 4)
+	starts, ok := s.FindAligned(path, 4, nil)
 	if !ok {
 		t.Fatal("FindAligned failed")
 	}
@@ -408,7 +410,7 @@ func TestResetRestoresNewState(t *testing.T) {
 func TestCloneCopiesFreeCounts(t *testing.T) {
 	s, _ := NewState(2, 4)
 	path := []int{0}
-	starts, _ := s.FindAligned(path, 2)
+	starts, _ := s.FindAligned(path, 2, nil)
 	if err := s.Reserve(3, path, starts); err != nil {
 		t.Fatal(err)
 	}

@@ -197,6 +197,7 @@ func TestGrowthSequenceMonotoneProperty(t *testing.T) {
 // Property: in any mesh, HopDistance equals the unit-cost shortest path
 // length through the link graph, and the returned path is link-contiguous.
 func TestHopDistanceMatchesGraphProperty(t *testing.T) {
+	var sp graph.SPScratch
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows, cols := 1+rng.Intn(5), 1+rng.Intn(5)
@@ -206,7 +207,7 @@ func TestHopDistanceMatchesGraphProperty(t *testing.T) {
 		}
 		a := rng.Intn(m.NumSwitches())
 		b := rng.Intn(m.NumSwitches())
-		path, cost, err := m.Graph().ShortestPath(a, b, func(graph.Arc) float64 { return 1 })
+		path, cost, err := m.Graph().ShortestPath(a, b, func(graph.Arc) float64 { return 1 }, &sp)
 		if err != nil {
 			return false // meshes are connected
 		}
