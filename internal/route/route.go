@@ -13,10 +13,10 @@
 //
 // A Table holds the state-independent half of candidate generation for one
 // topology and is shared: it is safe for concurrent use, so the portfolio's
-// workers and the service's worker pool route over one table per fabric.
-// The mutable working state of a query lives in a Scratch, one per
-// goroutine; the paths and distances a query returns are owned by its
-// scratch and valid only until the scratch's next use.
+// workers route over one table per fabric. The mutable working state of a
+// query lives in a Scratch, one per goroutine; the paths and distances a
+// query returns are owned by its scratch and valid only until the scratch's
+// next use.
 package route
 
 import (
