@@ -1,10 +1,13 @@
-// Allocation regression gate for the incremental evaluation engine: the
-// annealer's move path (PlacementInto + TryMove + Undo) must run without
-// heap allocations once the session's buffers reach steady state, on every
+// Allocation regression gates for the evaluation engine. The annealer's
+// move path (PlacementInto + TryMove + Undo) must run without heap
+// allocations once the session's buffers reach steady state, on every
 // D1-D4 design. BenchmarkSessionMove reports the same path with
 // -benchmem, using caller-owned placement buffers. Both draw their
 // candidates from the measurement harness's move generator, the one the
-// anneal-move table (`nocbench -fig perf`) scores.
+// anneal-move table (`nocbench -fig perf`) scores. The greedy growth loop
+// must stay under a fixed allocation budget per design over the
+// BenchmarkGreedySweep mix: a placement trial that is rolled back
+// allocates nothing, so the count tracks what a design keeps.
 package nocmap_test
 
 import (
@@ -150,5 +153,36 @@ func BenchmarkSessionMove(b *testing.B) {
 				f.move(i)
 			}
 		})
+	}
+}
+
+// greedySweepAllocBudget bounds the allocations of one core.Map call,
+// averaged over the greedy sweep mix.
+const greedySweepAllocBudget = 1000
+
+// TestGreedySweepAllocs is the greedy path's CI gate: mapping the
+// BenchmarkGreedySweep design mix once must average fewer than
+// greedySweepAllocBudget allocations per design. NOCMAP_SKIP_ALLOC_GATE
+// skips it like TestSessionMoveZeroAlloc.
+func TestGreedySweepAllocs(t *testing.T) {
+	if os.Getenv("NOCMAP_SKIP_ALLOC_GATE") != "" {
+		t.Skip("NOCMAP_SKIP_ALLOC_GATE set")
+	}
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates inside the measured path")
+	}
+	ds := greedySweepDesigns(t)
+	p := core.DefaultParams()
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, d := range ds {
+			if _, err := core.Map(d.prep, d.numCores, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perDesign := allocs / float64(len(ds)); perDesign >= greedySweepAllocBudget {
+		t.Fatalf("greedy sweep allocates %.0f times per design over %d designs; budget %d\n"+
+			"  (profile with: go test -run XXX -bench BenchmarkGreedySweep -memprofile mem.out -memprofilerate 1)",
+			perDesign, len(ds), greedySweepAllocBudget)
 	}
 }

@@ -290,25 +290,27 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkGreedySweep measures the greedy growth loop (core.Map) over the
-// greedy-path design mix: D1-D4 plus Spread and Bottleneck synthetics with
-// 2-20 use-cases at three seeds each, 118 designs. One op maps every
-// design once; allocs/design is the per-design allocation count.
-func BenchmarkGreedySweep(b *testing.B) {
-	type design struct {
-		prep     *usecase.Prepared
-		numCores int
-	}
-	var ds []design
+// sweepDesign is one prepared design of the greedy-path mix.
+type sweepDesign struct {
+	prep     *usecase.Prepared
+	numCores int
+}
+
+// greedySweepDesigns prepares the greedy-path design mix: D1-D4 plus Spread
+// and Bottleneck synthetics with 2-20 use-cases at three seeds each, 118
+// designs.
+func greedySweepDesigns(tb testing.TB) []sweepDesign {
+	tb.Helper()
+	var ds []sweepDesign
 	add := func(d *traffic.Design, err error) {
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		prep, err := usecase.Prepare(d)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		ds = append(ds, design{prep, d.NumCores()})
+		ds = append(ds, sweepDesign{prep, d.NumCores()})
 	}
 	for _, name := range []string{"D1", "D2", "D3", "D4"} {
 		add(bench.ByName(name))
@@ -320,6 +322,14 @@ func BenchmarkGreedySweep(b *testing.B) {
 			}
 		}
 	}
+	return ds
+}
+
+// BenchmarkGreedySweep measures the greedy growth loop (core.Map) over the
+// greedy-path design mix. One op maps every design once; allocs/design is
+// the per-design allocation count.
+func BenchmarkGreedySweep(b *testing.B) {
+	ds := greedySweepDesigns(b)
 	p := core.DefaultParams()
 	b.ReportAllocs()
 	var before, after runtime.MemStats

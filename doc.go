@@ -32,16 +32,17 @@
 // Candidate placements are scored by the incremental evaluation engine
 // (core.Evaluator): inputs are validated once per (design, topology,
 // params), the flow work list, per-pair routing plans and candidate mesh
-// paths are precomputed, and TDMA slot tables live in a pooled scratch
-// arena instead of being reallocated per candidate. Its Evaluate method is
-// bit-identical to the one-shot core.EvaluateFixed (kept as a thin
-// compatibility wrapper); its Session adds two-phase delta moves
-// (TryMove/Keep/Undo) that tear down and re-route only the flows whose
-// cores moved, with exact capacity prechecks and a per-group from-scratch
-// fallback — the anneal move loop runs several times faster than full
-// re-configuration on every benchmark design (nocbench -fig perf,
-// BENCH_pr4.json). One Evaluator is shared, concurrency-safe, by all
-// portfolio workers exploring the same fabric.
+// paths are precomputed, and TDMA slot tables live in a pooled
+// reservation ledger — shared by the greedy mapper and the Session, with
+// one undo log for trials and moves — instead of being reallocated per
+// candidate. Its Evaluate method is bit-identical to the one-shot
+// core.EvaluateFixed (kept as a thin compatibility wrapper); its Session
+// adds two-phase delta moves (TryMove/Keep/Undo) that tear down and
+// re-route only the flows whose cores moved, with exact capacity prechecks
+// and a per-group from-scratch fallback — the anneal move loop runs
+// several times faster than full re-configuration on every benchmark
+// design (nocbench -fig perf, BENCH_pr4.json). One Evaluator is shared,
+// concurrency-safe, by all portfolio workers exploring the same fabric.
 //
 // Above the search subsystem sits the serving layer (internal/service): a
 // concurrent mapping service that keys every request by a canonical digest

@@ -27,13 +27,16 @@ import (
 //     attempted mesh size, and a search's EvalCache one per fabric it
 //     probes (through ForTopology);
 //   - the per-topology part caches candidate mesh paths per switch pair
-//     (route.Table) and keeps TDMA states and flow lists in a scratch arena
-//     that is reset between evaluations instead of reallocated.
+//     (route.Table) and pools mappers: each carries a reservation ledger
+//     (TDMA states, live records, freelist and undo log), the flow list
+//     and the candidate buffers, and is rolled back between evaluations
+//     instead of reallocated.
 //
 // An Evaluator is immutable after construction and safe for concurrent use:
 // every Evaluate call draws its mutable state from an internal pool, so the
 // portfolio's workers share one Evaluator (and its precomputation) per
-// topology. Delta evaluation of single moves is layered on top via Session.
+// topology. Delta evaluation of single moves is layered on top via
+// Session, which runs on the same ledger.
 type Evaluator struct {
 	*designTables
 
@@ -45,7 +48,7 @@ type Evaluator struct {
 	// paths caches candidate mesh paths per switch pair.
 	paths *route.Table
 
-	pool sync.Pool // *evalScratch
+	pool sync.Pool // *mapper
 }
 
 // designTables is the topology-independent precomputation of one (prepared
@@ -74,8 +77,8 @@ type designTables struct {
 	// the session's capacity prechecks).
 	groupPairs [][]pairDemand
 	// ucPairs lists, per use-case, its distinct pairs with the flow
-	// bandwidth — the iteration computeStats performs over Config maps,
-	// precomputed so sessions can recompute stats without building Configs.
+	// bandwidth in declared order — the walk the ledger's stats and
+	// configs take.
 	ucPairs [][]ucPairStat
 
 	// Dense pair indexing: pairIdx numbers the distinct pairs in pairList
@@ -117,18 +120,6 @@ type pairDemand struct {
 	slots int
 	bw    float64
 	lat   float64
-}
-
-// evalScratch is the reusable mutable state of one evaluation: the
-// reservation scratch and probe record reserveSlots works in, besides the
-// states, flow list, demand projections and journal.
-type evalScratch struct {
-	states        []*tdma.State
-	flows         []flowInst
-	remOut, remIn [][]int
-	journal       []resRecord
-	res           reserveScratch
-	probe         resRecord
 }
 
 // NewEvaluator validates the inputs once, builds the design tables and
@@ -393,14 +384,21 @@ func newDesignTables(prep *usecase.Prepared, numCores int, p Params) *designTabl
 // ValidatePlacement checks a fixed placement against the evaluator's
 // topology and NI shape without running the configuration phase: slice
 // lengths, switch/NI ranges, NI-on-switch consistency and per-NI core
-// capacity. Cores with a negative switch are unattached and skipped.
-func (ev *Evaluator) ValidatePlacement(coreSwitch, coreNI []int) error {
+// capacity. Cores with a negative switch are unattached and skipped. seats
+// is scratch for the per-NI core count: it is used when it has an entry
+// per NI of the fabric and allocated otherwise (pass nil), so a caller
+// validating many placements stays allocation-free with one buffer.
+func (ev *Evaluator) ValidatePlacement(coreSwitch, coreNI, seats []int) error {
 	if len(coreSwitch) != ev.numCores || len(coreNI) != ev.numCores {
 		return fmt.Errorf("core: fixed placement has wrong length (switch %d, NI %d entries, design has %d cores)",
 			len(coreSwitch), len(coreNI), ev.numCores)
 	}
 	numNIs := ev.top.NumSwitches() * ev.p.NIsPerSwitch
-	seats := make([]int, numNIs)
+	if len(seats) < numNIs {
+		seats = make([]int, numNIs)
+	}
+	seats = seats[:numNIs]
+	clear(seats)
 	for c := 0; c < ev.numCores; c++ {
 		s, ni := coreSwitch[c], coreNI[c]
 		if s < 0 {
@@ -417,135 +415,85 @@ func (ev *Evaluator) ValidatePlacement(coreSwitch, coreNI []int) error {
 	return nil
 }
 
-// covered reports whether the fix places every communicating core, which
-// lets the evaluation skip the NI demand projections entirely (they only
-// steer the placement of unmapped cores).
-func (ev *Evaluator) covered(fix *placementFix) bool {
-	if fix == nil {
-		return false
-	}
-	for _, c := range ev.active {
-		if fix.CoreSwitch[c] < 0 {
-			return false
-		}
-	}
-	return true
+// newLedger returns an empty ledger shaped for the evaluator's design and
+// fabric.
+func (ev *Evaluator) newLedger() *ledger {
+	return newLedger(len(ev.prep.Groups), len(ev.pairList), ev.totalLinks, ev.p.SlotTableSize)
 }
 
-// getScratch draws (or creates) a clean scratch arena.
-func (ev *Evaluator) getScratch() *evalScratch {
-	if sc, ok := ev.pool.Get().(*evalScratch); ok {
-		return sc
-	}
-	sc := &evalScratch{res: reserveScratch{route: route.NewScratch()}}
-	sc.states = make([]*tdma.State, len(ev.prep.Groups))
-	for g := range sc.states {
-		st, err := tdma.NewState(ev.totalLinks, ev.p.SlotTableSize)
-		if err != nil {
-			// Params were validated at construction; NewState cannot fail.
-			panic(fmt.Sprintf("core: internal: %v", err))
+// mapperFor draws a mapper from the pool (or builds one) and readies it for
+// one pass from the placement (coreSwitch, coreNI), nil for the
+// constructive pass. Immutable tables are shared with the evaluator; the
+// flow list and demand projections are reset from the templates.
+func (ev *Evaluator) mapperFor(coreSwitch, coreNI []int) *mapper {
+	m, ok := ev.pool.Get().(*mapper)
+	if !ok {
+		m = &mapper{
+			ev:          ev,
+			led:         ev.newLedger(),
+			flows:       make([]flowInst, len(ev.flowsTpl)),
+			switchCores: make([]int, ev.top.NumSwitches()),
+			niCores:     make([]int, ev.top.NumSwitches()*ev.p.NIsPerSwitch),
+			res:         reserveScratch{route: route.NewScratch()},
 		}
-		sc.states[g] = st
+		numGroups, n := len(ev.prep.Groups), ev.numCores
+		remBuf := make([]int, 2*numGroups*n)
+		m.remOut, m.remIn = make([][]int, numGroups), make([][]int, numGroups)
+		for g := range m.remOut {
+			m.remOut[g] = remBuf[2*g*n : (2*g+1)*n : (2*g+1)*n]
+			m.remIn[g] = remBuf[(2*g+1)*n : (2*g+2)*n : (2*g+2)*n]
+		}
 	}
-	sc.flows = make([]flowInst, len(ev.flowsTpl))
-	return sc
+	copy(m.flows, ev.flowsTpl)
+	m.scanFrom = 0
+	for g := range m.remOut {
+		copy(m.remOut[g], ev.remOutTpl[g])
+		copy(m.remIn[g], ev.remInTpl[g])
+	}
+	m.place(coreSwitch, coreNI)
+	return m
 }
 
-// putScratch releases every reservation the evaluation journaled (restoring
-// the states to all-free without an O(links*slots) wipe) and returns the
-// arena to the pool.
-func (ev *Evaluator) putScratch(sc *evalScratch) {
-	for i := len(sc.journal) - 1; i >= 0; i-- {
-		r := sc.journal[i]
-		sc.states[r.group].Release(r.owner, r.path, r.start)
-	}
-	sc.journal = sc.journal[:0]
-	ev.pool.Put(sc)
+// putMapper rolls back every reservation of the mapper's pass — restoring
+// the states to all-free without an O(links*slots) wipe — and returns it to
+// the pool.
+func (ev *Evaluator) putMapper(m *mapper) {
+	m.led.rollback(0)
+	m.led.nextOwner = 0
+	ev.pool.Put(m)
 }
 
-// mapperFor assembles a mapper over the scratch arena. Immutable tables are
-// shared with the evaluator; mutable ones are copied from the templates.
-func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) (*mapper, error) {
-	m := &mapper{
-		ev: ev, prep: ev.prep, p: ev.p, top: ev.top,
-		meshLinks: ev.meshLinks, totalLinks: ev.totalLinks,
-		states:  sc.states,
-		journal: sc.journal[:0],
-		res:     &sc.res,
-		probe:   &sc.probe,
-	}
-	copy(sc.flows, ev.flowsTpl)
-	m.flows = sc.flows
-	if !ev.covered(fix) {
-		if sc.remOut == nil {
-			sc.remOut = make([][]int, len(ev.prep.Groups))
-			sc.remIn = make([][]int, len(ev.prep.Groups))
-			for g := range sc.remOut {
-				sc.remOut[g] = make([]int, ev.numCores)
-				sc.remIn[g] = make([]int, ev.numCores)
-			}
-		}
-		for g := range sc.remOut {
-			copy(sc.remOut[g], ev.remOutTpl[g])
-			copy(sc.remIn[g], ev.remInTpl[g])
-		}
-		m.remOut, m.remIn = sc.remOut, sc.remIn
-	}
-	m.configs = make([]map[traffic.PairKey]*Assignment, len(ev.prep.Groups))
-	for g := range m.configs {
-		m.configs[g] = make(map[traffic.PairKey]*Assignment)
-	}
-	if err := m.placeFixed(fix); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Evaluate runs the configuration phase on a fixed core placement using the
-// pooled scratch state and returns the complete Result. The output is
+// Evaluate runs the configuration phase on a fixed core placement using a
+// pooled mapper and returns the complete Result. The output is
 // bit-identical to EvaluateFixed on the same inputs; only the fixed
 // per-call costs are gone.
 func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
-	if err := ev.ValidatePlacement(coreSwitch, coreNI); err != nil {
+	if err := ev.ValidatePlacement(coreSwitch, coreNI, nil); err != nil {
 		return nil, err
 	}
-	sc := ev.getScratch()
-	m, err := ev.mapperFor(sc, &placementFix{CoreSwitch: coreSwitch, CoreNI: coreNI})
+	m, err := ev.attempt(coreSwitch, coreNI)
 	if err != nil {
-		ev.putScratch(sc)
 		return nil, err
 	}
-	mapping, err := m.run()
-	res := (*Result)(nil)
-	if err == nil {
-		dim := topology.Dim{Rows: ev.top.Rows, Cols: ev.top.Cols}
-		res = &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: computeStats(mapping, m.states)}
-	}
-	sc.journal = m.journal
-	ev.putScratch(sc)
-	return res, err
+	res := m.result([]Attempt{{Dim: topology.Dim{Rows: ev.top.Rows, Cols: ev.top.Cols}}})
+	ev.putMapper(m)
+	return res, nil
 }
 
-// attempt runs one constructive/configuration pass and, on success, hands
-// the final TDMA states and reservation journal to the caller (the growth
-// loop and Session initialization keep them). The scratch arena backs the
-// run: a failed attempt recycles it, a successful one detaches it — the
-// pool lazily allocates a replacement — so the frequent outcome of a
-// saturated fabric (infeasible) costs no state allocation at all.
-func (ev *Evaluator) attempt(fix *placementFix) (*Mapping, []*tdma.State, []resRecord, error) {
-	sc := ev.getScratch()
-	m, err := ev.mapperFor(sc, fix)
-	if err != nil {
-		ev.putScratch(sc)
-		return nil, nil, nil, err
+// attempt runs one configuration pass on a validated fixed placement, or
+// the constructive pass when coreSwitch is nil. A failed pass returns its
+// mapper to the pool; a successful one hands it over with the granted
+// reservations in its ledger: Evaluate returns it to the pool once the
+// Result is built, the growth loop drops it, and NewSession adopts its
+// ledger. The frequent outcome of a saturated fabric (infeasible) thus
+// costs no state allocation at all.
+func (ev *Evaluator) attempt(coreSwitch, coreNI []int) (*mapper, error) {
+	m := ev.mapperFor(coreSwitch, coreNI)
+	if err := m.run(); err != nil {
+		ev.putMapper(m)
+		return nil, err
 	}
-	mapping, err := m.run()
-	if err != nil {
-		sc.journal = m.journal
-		ev.putScratch(sc)
-		return nil, nil, nil, err
-	}
-	return mapping, m.states, m.journal, nil
+	return m, nil
 }
 
 // Infeasibility sentinels of reserveSlots. The move loop of a search engine
@@ -559,41 +507,41 @@ var (
 )
 
 // reserveScratch is the working state of reserveSlots on one goroutine: the
-// route-query scratch, the shared path probe buffer, and how many candidate
-// paths the last call probed.
+// route-query scratch, the path and start probe buffers, and how many
+// candidate paths the last call probed.
 type reserveScratch struct {
-	route *route.Scratch
-	full  []int
-	paths int
+	route  *route.Scratch
+	full   []int
+	starts []int
+	paths  int
 }
 
-// reserveSlots selects a path and aligned slots for one pair on one state:
-// candidate paths cheapest-first (from the per-pair cache), slot count
-// escalating past the bandwidth requirement when the latency bound needs a
-// smaller gap. On success the reservation is committed to st under owner
-// and the full path, starts and mesh-hop count are written into rec, whose
-// path and start buffers are reused and retained; the caller fills the
-// record's other fields. Route queries reuse the scratch, and infeasibility
-// is reported through the shared sentinel errors.
-func (ev *Evaluator) reserveSlots(sc *reserveScratch, st *tdma.State, owner int32, key traffic.PairKey,
-	srcS, dstS, egress, ingress int, bw, latencyNS float64, rec *resRecord) error {
+// reserveSlots selects a path and aligned slots for pair idx of group g
+// under the placement (cs, cn) and grants them in the ledger: candidate
+// paths cheapest-first (from the per-pair cache), slot count escalating
+// past the bandwidth requirement when the latency bound needs a smaller
+// gap. It returns the granted record. Route queries and probes reuse the
+// scratch, and infeasibility is reported through the shared sentinel
+// errors.
+func (ev *Evaluator) reserveSlots(sc *reserveScratch, l *ledger, g int, idx int32, cs, cn []int, bw, latencyNS float64) (*resRecord, error) {
 	T := ev.p.SlotTableSize
 	slots0 := tdma.SlotsNeeded(bw, ev.p.SlotBandwidthMBs())
 	if slots0 > T {
-		return errOverCapacity
+		return nil, errOverCapacity
 	}
-	if cap(rec.start) < T {
-		// A reservation never holds more than T starts; sizing the record's
-		// buffer once keeps every later probe allocation-free no matter which
-		// pair the recycled record serves.
-		rec.start = make([]int, 0, T)
+	if cap(sc.starts) < T {
+		// A reservation never holds more than T starts.
+		sc.starts = make([]int, 0, T)
 	}
+	key := ev.pairList[idx]
+	srcS, dstS := cs[key.Src], cs[key.Dst]
+	st := l.states[g]
 	latBudget := ev.p.LatencyBudgetSlots(latencyNS)
 	var meshCands []route.Path
 	if srcS != dstS {
 		meshCands = ev.paths.Candidates(sc.route, st, topology.SwitchID(srcS), topology.SwitchID(dstS), slots0)
 		if len(meshCands) == 0 {
-			return errNoPath
+			return nil, errNoPath
 		}
 		if ev.p.DisableUnifiedSlots {
 			// Ablation A2: path selection ignores slot alignment — commit to
@@ -606,31 +554,44 @@ func (ev *Evaluator) reserveSlots(sc *reserveScratch, st *tdma.State, owner int3
 	sc.paths = len(meshCands)
 	for _, cand := range meshCands {
 		full := sc.full[:0]
-		full = append(full, egress)
-		for _, l := range cand {
-			full = append(full, int(l))
+		full = append(full, ev.niEgress(cn[key.Src]))
+		for _, link := range cand {
+			full = append(full, int(link))
 		}
-		full = append(full, ingress)
+		full = append(full, ev.niIngress(cn[key.Dst]))
 		sc.full = full
 		for n := slots0; n <= T; n++ {
-			starts, ok := st.FindAligned(full, n, rec.start[:0])
+			starts, ok := st.FindAligned(full, n, sc.starts)
 			if !ok {
 				break // more slots cannot become available
 			}
-			rec.start = starts // retain buffer growth across rejected probes
 			if latBudget >= 0 && tdma.WorstCaseLatencySlotsSorted(starts, len(full), T) > latBudget {
 				continue // spread more slots to shrink the gap
 			}
-			if err := st.Reserve(owner, full, starts); err != nil {
-				return fmt.Errorf("internal: reserve after FindAligned: %w", err)
+			r, err := l.grant(g, idx, key, full, starts, int32(len(cand)))
+			if err != nil {
+				return nil, fmt.Errorf("internal: reserve after FindAligned: %w", err)
 			}
-			rec.path = append(rec.path[:0], full...)
-			rec.start = starts
-			rec.hops = ev.pathHops(rec.path)
-			return nil
+			return r, nil
 		}
 	}
-	return errNoAligned
+	return nil, errNoAligned
+}
+
+// niEgress and niIngress number the NI links after the mesh links: NI n
+// sends into its switch on meshLinks+2n and receives on meshLinks+2n+1.
+func (ev *Evaluator) niEgress(globalNI int) int  { return ev.meshLinks + 2*globalNI }
+func (ev *Evaluator) niIngress(globalNI int) int { return ev.meshLinks + 2*globalNI + 1 }
+
+// pathHops counts the mesh links of a full path (NI links excluded).
+func (ev *Evaluator) pathHops(path []int) int32 {
+	hops := int32(0)
+	for _, l := range path {
+		if l < ev.meshLinks {
+			hops++
+		}
+	}
+	return hops
 }
 
 // sameSwitchCands is the single empty mesh path of a src==dst reservation.

@@ -48,11 +48,11 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 			return nil, &InfeasibleError{Fabric: top.String(), Attempts: []Attempt{{Dim: dim, Skipped: true}}, Last: err}
 		}
 		ev := tables.evaluator(top)
-		m, states, _, err := ev.attempt(nil)
+		m, err := ev.attempt(nil, nil)
 		if err != nil {
 			return nil, &InfeasibleError{Fabric: top.String(), Attempts: []Attempt{{Dim: dim, Err: err.Error()}}, Last: err}
 		}
-		res := &Result{Mapping: m, Attempts: []Attempt{{Dim: dim}}, Stats: computeStats(m, states)}
+		res := m.result([]Attempt{{Dim: dim}})
 		if p.Improve {
 			res = improveResult(ev, res)
 		}
@@ -73,14 +73,14 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 			return nil, err
 		}
 		ev := tables.evaluator(top)
-		m, states, _, err := ev.attempt(nil)
+		m, err := ev.attempt(nil, nil)
 		if err != nil {
 			attempts = append(attempts, Attempt{Dim: dim, Err: err.Error()})
 			lastErr = err
 			continue
 		}
 		attempts = append(attempts, Attempt{Dim: dim})
-		res := &Result{Mapping: m, Attempts: attempts, Stats: computeStats(m, states)}
+		res := m.result(attempts)
 		if p.Improve {
 			res = improveResult(ev, res)
 		}
@@ -158,12 +158,6 @@ func validateInput(prep *usecase.Prepared, numCores int) error {
 	return nil
 }
 
-// placementFix pins the core placement for configuration-only runs.
-type placementFix struct {
-	CoreSwitch []int
-	CoreNI     []int
-}
-
 // flowInst is one flow occurrence in the global work list.
 type flowInst struct {
 	uc   int
@@ -174,26 +168,14 @@ type flowInst struct {
 	done bool
 }
 
-// mapper carries the working state of one attempt on one topology. The
-// immutable tables (the routing plans reached through ev) are shared with
-// the owning Evaluator; the mutable ones are per attempt, drawn from the
-// evaluator's scratch pool or freshly allocated.
+// mapper carries the working state of one constructive/configuration pass
+// on one topology. The immutable tables are shared with the owning
+// Evaluator (ev); the mutable state — ledger, flow list, demand
+// projections, placement counters and candidate buffers — is reset per
+// pass, and the evaluator pools whole mappers between passes.
 type mapper struct {
-	ev   *Evaluator
-	prep *usecase.Prepared
-	p    Params
-	top  *topology.Topology
-
-	meshLinks  int
-	totalLinks int
-
-	// One residual state and one configuration per smooth-switching group:
-	// group members share a single NoC configuration (paper Section 4), so a
-	// reservation made for any member occupies slots for all of them. With
-	// no smooth-switching constraints every group is a singleton and this
-	// degenerates to the per-use-case data structures of Algorithm 2.
-	states  []*tdma.State
-	configs []map[traffic.PairKey]*Assignment
+	ev  *Evaluator
+	led *ledger
 
 	coreSwitch  []int
 	coreNI      []int
@@ -208,35 +190,17 @@ type mapper struct {
 	// occupancy (current reservations + remaining demand of the NI's cores)
 	// steers placement: greedy per-flow decisions would otherwise co-locate
 	// cores whose later flows overrun the NI.
-	// Both rem tables are nil when the fix places every communicating core
-	// — no placement decisions remain, so no projection is ever read.
 	remOut [][]int
 	remIn  [][]int
 
-	journal   []resRecord
-	nextOwner int32
-	// res and probe are the evaluation scratch's reservation working state:
-	// reserveSlots writes each granted path and starts into probe, and the
-	// mapper copies them out.
-	res   *reserveScratch
-	probe *resRecord
+	res reserveScratch
+	// placements, seeds and ranked back the per-trial candidate lists.
+	placements []placement
+	seeds      []switchCand
+	ranked     []switchCand
 	// scanFrom skips the done prefix of the flow list in chooseNext; flows
 	// only ever transition to done, so the hint is monotone and safe.
 	scanFrom int
-}
-
-type resRecord struct {
-	group  int
-	owner  int32
-	path   []int
-	start  []int
-	key    traffic.PairKey
-	demand int
-	// idx and hops serve the session's dense bookkeeping: the pair's index
-	// in the evaluator's pairList and the mesh-hop count of path. The
-	// mapper's journal leaves them zero; sessions fill them on adoption.
-	idx  int32
-	hops int32
 }
 
 type placement struct {
@@ -246,89 +210,67 @@ type placement struct {
 	src, dst           traffic.CoreID
 }
 
-// placeFixed initializes the placement arrays and applies the fix, if any.
-func (m *mapper) placeFixed(fix *placementFix) error {
-	numCores := m.ev.numCores
-	m.coreSwitch = make([]int, numCores)
-	m.coreNI = make([]int, numCores)
-	for i := range m.coreSwitch {
-		m.coreSwitch[i] = -1
-		m.coreNI[i] = -1
-	}
-	m.switchCores = make([]int, m.top.NumSwitches())
-	m.niCores = make([]int, m.top.NumSwitches()*m.p.NIsPerSwitch)
-	if fix == nil {
-		return nil
-	}
-	if len(fix.CoreSwitch) != numCores || len(fix.CoreNI) != numCores {
-		return fmt.Errorf("core: fixed placement has wrong length")
-	}
-	for c := 0; c < numCores; c++ {
-		s, ni := fix.CoreSwitch[c], fix.CoreNI[c]
-		if s < 0 {
+// place initializes the placement arrays and seats the attached cores of
+// a validated fixed placement (coreSwitch, coreNI); nil leaves every core
+// unattached for the constructive pass.
+func (m *mapper) place(coreSwitch, coreNI []int) {
+	m.coreSwitch = make([]int, m.ev.numCores)
+	m.coreNI = make([]int, m.ev.numCores)
+	clear(m.switchCores)
+	clear(m.niCores)
+	for c := range m.coreSwitch {
+		m.coreSwitch[c], m.coreNI[c] = -1, -1
+		if coreSwitch == nil || coreSwitch[c] < 0 {
 			continue
 		}
-		if s >= m.top.NumSwitches() || ni < 0 || ni >= len(m.niCores) || ni/m.p.NIsPerSwitch != s {
-			return fmt.Errorf("core: fixed placement of core %d (switch %d, NI %d) invalid", c, s, ni)
-		}
-		m.coreSwitch[c] = s
-		m.coreNI[c] = ni
-		m.switchCores[s]++
-		m.niCores[ni]++
+		m.coreSwitch[c], m.coreNI[c] = coreSwitch[c], coreNI[c]
+		m.switchCores[coreSwitch[c]]++
+		m.niCores[coreNI[c]]++
 	}
-	return nil
 }
 
 // run performs Algorithm 2 steps 3-7: repeatedly choose the heaviest
 // remaining flow (preferring already-mapped endpoints), place and route it
 // together with the same-pair flows of every other use-case, until all
-// flows are mapped; then assemble the Mapping.
-func (m *mapper) run() (*Mapping, error) {
+// flows are mapped.
+func (m *mapper) run() error {
 	for {
 		fi := m.chooseNext()
 		if fi < 0 {
-			break
+			return nil
 		}
 		if err := m.placeAndRoute(fi); err != nil {
-			return nil, err
+			return err
 		}
 	}
+}
+
+// result assembles the Result of a successful pass: the placement, the
+// per-use-case configurations and the statistics of the ledger.
+func (m *mapper) result(attempts []Attempt) *Result {
+	ev := m.ev
 	mapping := &Mapping{
-		Topology:   m.top,
-		Params:     m.p,
-		Prep:       m.prep,
+		Topology:   ev.top,
+		Params:     ev.p,
+		Prep:       ev.prep,
 		CoreSwitch: m.coreSwitch,
 		CoreNI:     m.coreNI,
+		Configs:    m.led.configs(ev.designTables),
 	}
-	// Per-use-case configurations are restrictions of the group
-	// configuration to the use-case's own flows; assignments are shared.
-	mapping.Configs = make([]*Config, len(m.prep.UseCases))
-	for uc, u := range m.prep.UseCases {
-		cfg := &Config{Assignments: make(map[traffic.PairKey]*Assignment, len(u.Flows))}
-		g := m.prep.GroupOf[uc]
-		for _, f := range u.Flows {
-			a, ok := m.configs[g][f.Key()]
-			if !ok {
-				return nil, fmt.Errorf("core: internal: flow %d->%d of use-case %d unassigned", f.Src, f.Dst, uc)
-			}
-			cfg.Assignments[f.Key()] = a
-		}
-		mapping.Configs[uc] = cfg
-	}
-	return mapping, nil
+	return &Result{Mapping: mapping, Attempts: attempts, Stats: m.led.stats(ev.designTables)}
 }
 
 // projectedNIUsed returns the projected slot usage of an NI link in group g:
 // slots already reserved plus the remaining demand of every core attached to
 // the NI (and of extraCore, a core about to be attached).
 func (m *mapper) projectedNIUsed(ni, g int, role niRole, extraCore int) int {
-	link := m.niEgress(ni)
+	link := m.ev.niEgress(ni)
 	rem := m.remOut[g]
 	if role == roleDst {
-		link = m.niIngress(ni)
+		link = m.ev.niIngress(ni)
 		rem = m.remIn[g]
 	}
-	used := m.p.SlotTableSize - m.states[g].FreeSlots(link)
+	used := m.ev.p.SlotTableSize - m.led.states[g].FreeSlots(link)
 	for c, n := range m.coreNI {
 		if n == ni {
 			used += rem[c]
@@ -338,23 +280,6 @@ func (m *mapper) projectedNIUsed(ni, g int, role niRole, extraCore int) int {
 		used += rem[extraCore]
 	}
 	return used
-}
-
-// bestProjectedNI returns the lowest projected usage over the NIs of switch
-// s that still have core capacity, or -1 when all NIs are full.
-func (m *mapper) bestProjectedNI(s, g int, role niRole, extraCore int) int {
-	base := s * m.p.NIsPerSwitch
-	best := -1
-	for ni := base; ni < base+m.p.NIsPerSwitch; ni++ {
-		if m.niCores[ni] >= m.p.CoresPerNI {
-			continue
-		}
-		u := m.projectedNIUsed(ni, g, role, extraCore)
-		if best < 0 || u < best {
-			best = u
-		}
-	}
-	return best
 }
 
 // chooseNext implements Algorithm 2 step 3: the heaviest remaining flow,
@@ -371,7 +296,7 @@ func (m *mapper) chooseNext() int {
 		if f.done {
 			continue
 		}
-		if m.p.DisableMappedPreference {
+		if m.ev.p.DisableMappedPreference {
 			return i
 		}
 		sm := m.coreSwitch[f.key.Src] >= 0
@@ -402,7 +327,7 @@ func (m *mapper) chooseNext() int {
 // placements for any unmapped endpoint; for each, route and reserve the
 // flow's pair in every group that communicates over it (the precomputed
 // routing plan). The first placement for which all groups succeed is
-// committed.
+// committed; a failed one is rolled back through the ledger.
 func (m *mapper) placeAndRoute(fi int) error {
 	f := m.flows[fi]
 	plan := m.ev.planOf[f.pair]
@@ -417,8 +342,8 @@ func (m *mapper) placeAndRoute(fi int) error {
 			lastErr = err
 			continue
 		}
-		mark := len(m.journal)
-		err := m.routeGroups(f.key, plan)
+		mark := m.led.mark()
+		err := m.routeGroups(f.pair, plan)
 		if err == nil {
 			for _, i := range plan.allInsts {
 				m.flows[i].done = true
@@ -430,38 +355,34 @@ func (m *mapper) placeAndRoute(fi int) error {
 		m.undoPlacement(pl)
 	}
 	return fmt.Errorf("core: flow %d->%d (%.1f MB/s, use-case %q): %v",
-		f.key.Src, f.key.Dst, f.bw, m.prep.UseCases[f.uc].Name, lastErr)
+		f.key.Src, f.key.Dst, f.bw, m.ev.prep.UseCases[f.uc].Name, lastErr)
 }
 
 // candidatePlacements enumerates (src switch, dst switch) options for the
-// flow's endpoints, cheapest placements first.
+// flow's endpoints, cheapest placements first. The list lives in the
+// mapper's buffer until the next call.
 func (m *mapper) candidatePlacements(f flowInst) ([]placement, error) {
 	src, dst := f.key.Src, f.key.Dst
 	ss, ds := m.coreSwitch[src], m.coreSwitch[dst]
-	g := m.prep.GroupOf[f.uc]
+	g := m.ev.prep.GroupOf[f.uc]
+	out := m.placements[:0]
 	switch {
 	case ss >= 0 && ds >= 0:
-		return []placement{{srcSwitch: ss, dstSwitch: ds, src: src, dst: dst}}, nil
+		out = append(out, placement{srcSwitch: ss, dstSwitch: ds, src: src, dst: dst})
 	case ss >= 0:
-		cands := m.rankPlacements(ss, g, dst, -1)
-		out := make([]placement, 0, len(cands))
-		for _, c := range cands {
-			out = append(out, placement{placeDst: true, srcSwitch: ss, dstSwitch: c, src: src, dst: dst})
+		for _, c := range m.rankPlacements(ss, g, dst, -1) {
+			out = append(out, placement{placeDst: true, srcSwitch: ss, dstSwitch: c.s, src: src, dst: dst})
 		}
 		if len(out) == 0 {
 			return nil, fmt.Errorf("no switch has NI capacity for core %d", dst)
 		}
-		return out, nil
 	case ds >= 0:
-		cands := m.rankPlacements(ds, g, src, -1)
-		out := make([]placement, 0, len(cands))
-		for _, c := range cands {
-			out = append(out, placement{placeSrc: true, srcSwitch: c, dstSwitch: ds, src: src, dst: dst})
+		for _, c := range m.rankPlacements(ds, g, src, -1) {
+			out = append(out, placement{placeSrc: true, srcSwitch: c.s, dstSwitch: ds, src: src, dst: dst})
 		}
 		if len(out) == 0 {
 			return nil, fmt.Errorf("no switch has NI capacity for core %d", src)
 		}
-		return out, nil
 	default:
 		// Neither endpoint mapped: seed the source at switches with NI
 		// headroom near the mesh centre, then rank destinations around each
@@ -470,22 +391,23 @@ func (m *mapper) candidatePlacements(f flowInst) ([]placement, error) {
 		if len(seeds) == 0 {
 			return nil, fmt.Errorf("no switch has NI capacity for core %d", src)
 		}
-		var out []placement
+	seeding:
 		for _, s := range seeds {
 			// The destination may share the seed switch only if two core
 			// slots are free there.
-			for _, c := range m.rankPlacements(s, g, dst, s) {
-				out = append(out, placement{placeSrc: true, placeDst: true, srcSwitch: s, dstSwitch: c, src: src, dst: dst})
-				if len(out) >= m.p.PlacementCandidates {
-					return out, nil
+			for _, c := range m.rankPlacements(s.s, g, dst, s.s) {
+				out = append(out, placement{placeSrc: true, placeDst: true, srcSwitch: s.s, dstSwitch: c.s, src: src, dst: dst})
+				if len(out) >= m.ev.p.PlacementCandidates {
+					break seeding
 				}
 			}
 		}
 		if len(out) == 0 {
 			return nil, fmt.Errorf("no switch pair has NI capacity for cores %d,%d", src, dst)
 		}
-		return out, nil
 	}
+	m.placements = out
+	return out, nil
 }
 
 // Roles for NI-feasibility checks: a source core needs egress slots on its
@@ -502,14 +424,14 @@ const (
 // including the core's own remaining demand) is lowest. ok is false when no
 // NI of the switch can host the core within the slot table.
 func (m *mapper) niChoice(s int, core traffic.CoreID) (ni, worst int, ok bool) {
-	base := s * m.p.NIsPerSwitch
+	base := s * m.ev.p.NIsPerSwitch
 	ni, worst = -1, 0
-	for cand := base; cand < base+m.p.NIsPerSwitch; cand++ {
-		if m.niCores[cand] >= m.p.CoresPerNI {
+	for cand := base; cand < base+m.ev.p.NIsPerSwitch; cand++ {
+		if m.niCores[cand] >= m.ev.p.CoresPerNI {
 			continue
 		}
 		w := 0
-		for g := range m.states {
+		for g := range m.led.states {
 			if u := m.projectedNIUsed(cand, g, roleSrc, int(core)); u > w {
 				w = u
 			}
@@ -521,7 +443,7 @@ func (m *mapper) niChoice(s int, core traffic.CoreID) (ni, worst int, ok bool) {
 			ni, worst = cand, w
 		}
 	}
-	if ni < 0 || worst > m.p.SlotTableSize {
+	if ni < 0 || worst > m.ev.p.SlotTableSize {
 		return -1, worst, false
 	}
 	return ni, worst, true
@@ -534,11 +456,11 @@ func (m *mapper) niChoice(s int, core traffic.CoreID) (ni, worst int, ok bool) {
 // ranking would pack every core onto the central switches, and no mesh
 // growth could ever help.
 func (m *mapper) attachPenalty(worst int) float64 {
-	occ := float64(worst) / float64(m.p.SlotTableSize)
+	occ := float64(worst) / float64(m.ev.p.SlotTableSize)
 	if occ > 1 {
 		occ = 1
 	}
-	return m.p.Cost.LoadWeight * occ * occ
+	return m.ev.p.Cost.LoadWeight * occ * occ
 }
 
 // switchCand is a candidate switch for a core with its placement score.
@@ -563,17 +485,18 @@ func compareCands(a, b switchCand) int {
 // scored by least-cost-tree distance from the mapped endpoint's switch under
 // the group's residual state plus the projected NI load penalty. seedShared
 // marks a switch that must keep room for two cores (used when both endpoints
-// are placed at once).
-func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared int) []int {
+// are placed at once). The list lives in the mapper's buffer until the next
+// call.
+func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared int) []switchCand {
 	// Rank reachability with a 1-slot requirement: per-link feasibility for
 	// the actual reservation is re-checked during routing.
-	dist, err := m.ev.paths.LeastCostTree(m.res.route, m.states[group], topology.SwitchID(from), 1)
+	dist, err := m.ev.paths.LeastCostTree(m.res.route, m.led.states[group], topology.SwitchID(from), 1)
 	if err != nil {
 		return nil
 	}
-	var cands []switchCand
-	for s := 0; s < m.top.NumSwitches(); s++ {
-		free := m.p.CoresPerSwitch() - m.switchCores[s]
+	cands := m.ranked[:0]
+	for s := range m.switchCores {
+		free := m.ev.p.CoresPerSwitch() - m.switchCores[s]
 		need := 1
 		if s == seedShared {
 			need = 2 // the seed core also lands here
@@ -595,43 +518,33 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 		cands = append(cands, switchCand{s, d + m.attachPenalty(worst)})
 	}
 	slices.SortStableFunc(cands, compareCands)
-	if len(cands) > m.p.PlacementCandidates {
-		cands = cands[:m.p.PlacementCandidates]
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.s
-	}
-	return out
+	m.ranked = cands
+	return cands[:min(len(cands), m.ev.p.PlacementCandidates)]
 }
 
 // seedSwitches returns up to n switches that can absorb the core's projected
 // demand, scored by distance to the topology's centre plus the projected NI
 // load penalty (deterministic seed order for flows with no mapped endpoint).
-func (m *mapper) seedSwitches(n int, core traffic.CoreID) []int {
-	centre := m.top.Centre()
-	var cands []switchCand
-	for s := 0; s < m.top.NumSwitches(); s++ {
-		if m.switchCores[s] >= m.p.CoresPerSwitch() {
+// The list lives in the mapper's buffer until the next call.
+func (m *mapper) seedSwitches(n int, core traffic.CoreID) []switchCand {
+	top := m.ev.top
+	centre := top.Centre()
+	cands := m.seeds[:0]
+	for s := range m.switchCores {
+		if m.switchCores[s] >= m.ev.p.CoresPerSwitch() {
 			continue
 		}
 		_, worst, ok := m.niChoice(s, core)
 		if !ok {
 			continue
 		}
-		d := float64(m.top.HopDistance(topology.SwitchID(s), centre))*m.p.Cost.HopCost +
+		d := float64(top.HopDistance(topology.SwitchID(s), centre))*m.ev.p.Cost.HopCost +
 			m.attachPenalty(worst)
 		cands = append(cands, switchCand{s, d})
 	}
 	slices.SortStableFunc(cands, compareCands)
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.s
-	}
-	return out
+	m.seeds = cands
+	return cands[:min(len(cands), n)]
 }
 
 // applyPlacement tentatively attaches unmapped endpoint cores to their
@@ -683,73 +596,54 @@ func (m *mapper) undoPlacement(pl placement) {
 	}
 }
 
-// routeGroups reserves the pair in every group of its routing plan: the
+// routeGroups reserves pair idx in every group of its routing plan: the
 // reservation is sized by the group's heaviest same-pair flow and must
-// satisfy the group's tightest latency constraint; it is recorded once in
-// the group's shared state (Algorithm 2 steps 4-6).
-func (m *mapper) routeGroups(key traffic.PairKey, plan *pairPlan) error {
+// satisfy the group's tightest latency constraint; it is granted once in
+// the group's shared state (Algorithm 2 steps 4-6), and the pair's
+// projected demand in the group is then realized.
+func (m *mapper) routeGroups(idx int32, plan *pairPlan) error {
 	for i, g := range plan.groups {
-		if err := m.reservePair(g, key, plan.bw[i], plan.lat[i], plan.slots[i]); err != nil {
-			return fmt.Errorf("group %d: %w", g, err)
+		r, err := m.ev.reserveSlots(&m.res, m.led, g, idx, m.coreSwitch, m.coreNI, plan.bw[i], plan.lat[i])
+		if err != nil {
+			return fmt.Errorf("group %d: %w", g, m.reserveError(err, m.ev.pairList[idx], plan.bw[i], plan.lat[i]))
 		}
+		r.demand = plan.slots[i]
+		m.remOut[g][r.key.Src] -= r.demand
+		m.remIn[g][r.key.Dst] -= r.demand
 	}
-	return nil
-}
-
-// reservePair selects a path and aligned slots for one pair in one group's
-// state (via the evaluator's shared reservation primitive) and journals the
-// result; slots is the pair's projected demand in the group.
-func (m *mapper) reservePair(g int, key traffic.PairKey, bw, latencyNS float64, slots int) error {
-	srcS, dstS := m.coreSwitch[key.Src], m.coreSwitch[key.Dst]
-	egress := m.niEgress(m.coreNI[key.Src])
-	ingress := m.niIngress(m.coreNI[key.Dst])
-	if err := m.ev.reserveSlots(m.res, m.states[g], m.nextOwner, key, srcS, dstS, egress, ingress, bw, latencyNS, m.probe); err != nil {
-		return m.reserveError(err, key, srcS, dstS, bw, latencyNS)
-	}
-	owner := m.nextOwner
-	m.nextOwner++
-	path, starts := slices.Clone(m.probe.path), slices.Clone(m.probe.start)
-	m.configs[g][key] = &Assignment{Path: path, Starts: starts, SlotCount: len(starts)}
-	// The pair's projected demand is now realized.
-	demand := 0
-	if m.remOut != nil {
-		demand = slots
-		m.remOut[g][key.Src] -= demand
-		m.remIn[g][key.Dst] -= demand
-	}
-	m.journal = append(m.journal, resRecord{group: g, owner: owner, path: path, start: starts, key: key, demand: demand})
 	return nil
 }
 
 // reserveError describes a reserveSlots sentinel for the failed reservation
-// of key between switches srcS and dstS; any other error passes through.
-func (m *mapper) reserveError(err error, key traffic.PairKey, srcS, dstS int, bw, latencyNS float64) error {
-	slots0 := tdma.SlotsNeeded(bw, m.p.SlotBandwidthMBs())
+// of key; any other error passes through.
+func (m *mapper) reserveError(err error, key traffic.PairKey, bw, latencyNS float64) error {
+	p := m.ev.p
+	slots0 := tdma.SlotsNeeded(bw, p.SlotBandwidthMBs())
 	switch err {
 	case errOverCapacity:
 		return fmt.Errorf("flow %d->%d needs %d slots, table has %d (bandwidth %0.1f exceeds link capacity %0.1f MB/s)",
-			key.Src, key.Dst, slots0, m.p.SlotTableSize, bw, m.p.LinkBandwidthMBs())
+			key.Src, key.Dst, slots0, p.SlotTableSize, bw, p.LinkBandwidthMBs())
 	case errNoPath:
-		return fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)", key.Src, key.Dst, srcS, dstS, slots0)
+		return fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)",
+			key.Src, key.Dst, m.coreSwitch[key.Src], m.coreSwitch[key.Dst], slots0)
 	case errNoAligned:
-		return fmt.Errorf("flow %d->%d: no aligned slots (need %d, latency budget %d slots) on any of %d paths",
-			key.Src, key.Dst, slots0, m.p.LatencyBudgetSlots(latencyNS), m.res.paths)
+		budget := "none"
+		if b := p.LatencyBudgetSlots(latencyNS); b >= 0 {
+			budget = fmt.Sprintf("%d slots", b)
+		}
+		return fmt.Errorf("flow %d->%d: no aligned slots (need %d, latency budget %s) on any of %d paths",
+			key.Src, key.Dst, slots0, budget, m.res.paths)
 	}
 	return err
 }
 
+// rollback undoes the grants of a failed placement trial since mark and
+// returns their demand to the NI projection.
 func (m *mapper) rollback(mark int) {
-	for i := len(m.journal) - 1; i >= mark; i-- {
-		r := m.journal[i]
-		m.states[r.group].Release(r.owner, r.path, r.start)
-		delete(m.configs[r.group], r.key)
-		if m.remOut != nil {
-			m.remOut[r.group][r.key.Src] += r.demand
-			m.remIn[r.group][r.key.Dst] += r.demand
-		}
+	for _, op := range m.led.log[mark:] {
+		r := op.rec
+		m.remOut[r.group][r.key.Src] += r.demand
+		m.remIn[r.group][r.key.Dst] += r.demand
 	}
-	m.journal = m.journal[:mark]
+	m.led.rollback(mark)
 }
-
-func (m *mapper) niEgress(globalNI int) int  { return m.meshLinks + 2*globalNI }
-func (m *mapper) niIngress(globalNI int) int { return m.meshLinks + 2*globalNI + 1 }

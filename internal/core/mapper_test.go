@@ -393,9 +393,10 @@ func TestImprovePreservesFeasibility(t *testing.T) {
 // TestReservationFailureMessages pins the text of the three ways a pair's
 // reservation can fail, as the mapper's entry points report them: the flow
 // exceeds a link's capacity, no path has enough free slots on every link,
-// and no candidate path has aligned slots within the latency budget. Map's
-// placement projection never seats a core whose demand overruns its NI, so
-// the over-capacity case comes from a fixed placement.
+// and no candidate path has aligned slots within the latency budget (or
+// at all, for a flow without a latency limit). Map's placement projection
+// never seats a core whose demand overruns its NI, so the over-capacity
+// case comes from a fixed placement.
 func TestReservationFailureMessages(t *testing.T) {
 	line := DefaultParams()
 	line.NIsPerSwitch, line.CoresPerNI = 2, 1
@@ -412,11 +413,11 @@ func TestReservationFailureMessages(t *testing.T) {
 		numCores int
 		flows    []traffic.Flow
 		p        Params
-		fixed    bool // evaluate both cores on switch 0 instead of mapping
+		fixedNI  []int // seat core c at NI fixedNI[c] of switch 0 instead of mapping
 		want     string
 	}{
 		{
-			name: "over capacity", numCores: 2, fixed: true, p: DefaultParams(),
+			name: "over capacity", numCores: 2, fixedNI: []int{0, 1}, p: DefaultParams(),
 			flows: []traffic.Flow{{Src: 0, Dst: 1, BandwidthMBs: 5000}},
 			want: `core: flow 0->1 (5000.0 MB/s, use-case "u"): group 0: ` +
 				`flow 0->1 needs 160 slots, table has 64 (bandwidth 5000.0 exceeds link capacity 2000.0 MB/s)`,
@@ -448,17 +449,29 @@ func TestReservationFailureMessages(t *testing.T) {
 			want: `core: no feasible mapping up to 2x2 mesh (last: core: flow 0->2 (300.0 MB/s, use-case "u"): ` +
 				`group 0: flow 0->2: no aligned slots (need 10, latency budget 3 slots) on any of 2 paths)`,
 		},
+		{
+			// 0->1 and 2->3 spread their slots evenly from slot 0; the union
+			// of 0->1's starts on NI 0's egress and 2->3's on NI 1's ingress
+			// leaves 0->3 fewer than 23 aligned starts, though both links
+			// have more free slots than that.
+			name: "no aligned slots without latency limit", numCores: 4, fixedNI: []int{0, 0, 1, 1}, p: DefaultParams(),
+			flows: []traffic.Flow{
+				{Src: 0, Dst: 1, BandwidthMBs: 900}, {Src: 2, Dst: 3, BandwidthMBs: 800}, {Src: 0, Dst: 3, BandwidthMBs: 700},
+			},
+			want: `core: flow 0->3 (700.0 MB/s, use-case "u"): group 0: ` +
+				`flow 0->3: no aligned slots (need 23, latency budget none) on any of 1 paths`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pr := prep(t, tc.numCores, &traffic.UseCase{Name: "u", Flows: tc.flows})
 			var err error
-			if tc.fixed {
+			if tc.fixedNI != nil {
 				top, terr := tc.p.Topology.ForDim(topology.Dim{Rows: 1, Cols: 1}, tc.p.CoresPerSwitch())
 				if terr != nil {
 					t.Fatal(terr)
 				}
-				_, err = EvaluateFixed(pr, tc.numCores, top, []int{0, 0}, []int{0, 1}, tc.p)
+				_, err = EvaluateFixed(pr, tc.numCores, top, make([]int, tc.numCores), tc.fixedNI, tc.p)
 			} else {
 				_, err = Map(pr, tc.numCores, tc.p)
 			}

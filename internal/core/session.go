@@ -5,9 +5,7 @@ import (
 	"slices"
 
 	"nocmap/internal/route"
-	"nocmap/internal/tdma"
 	"nocmap/internal/topology"
-	"nocmap/internal/traffic"
 )
 
 // Session is incremental evaluation over one evolving placement. It owns a
@@ -25,14 +23,18 @@ import (
 // A move is two-phase: TryMove reserves the new configuration and returns
 // its statistics with the move pending; Keep commits it, Undo restores the
 // previous configuration exactly. This is the shape a Metropolis acceptance
-// loop needs — the annealer scores the candidate before deciding.
+// loop needs — the annealer scores the candidate before deciding. All of it
+// is bookkeeping on the session's reservation ledger, the one the mapper
+// uses: a move is a ledger mark, the teardown and re-route journal their
+// releases and grants, a wedged group rolls back to its own mark and
+// re-routes from scratch, Undo (or a rejection) rolls back to the move's
+// mark, and Keep commits it.
 //
-// The move path performs no heap allocation in steady state: records,
-// their path/start buffers, the pending-move bookkeeping and every scratch
-// live on the session and are recycled move over move (the per-group
-// rebuild fallback and error formatting on cold validation paths are the
-// deliberate exceptions). BenchmarkSessionMove gates this at 0 allocs/op
-// in CI.
+// The move path performs no heap allocation in steady state: records and
+// their path/start buffers are recycled through the ledger's freelist, and
+// the log and every scratch are retained move over move (error formatting
+// on cold validation paths is the deliberate exception).
+// TestSessionMoveZeroAlloc gates this at 0 allocs/op in CI.
 //
 // The configurations a session reaches by deltas are always feasible,
 // verified reservations, but they are not guaranteed to be the same
@@ -55,42 +57,17 @@ type Session struct {
 	cs, cn       []int
 	csAlt, cnAlt []int
 
-	states []*tdma.State
-	// recs holds the live reservation records dense by [group][pair index]
-	// (nil where the group does not communicate over the pair).
-	recs      [][]*resRecord
-	nextOwner int32
-	stats     Stats
-
-	pending bool
-	pm      pendingMove
-
-	// freeRecs recycles records — and, through them, their path/start
-	// buffers — across moves.
-	freeRecs []*resRecord
-
-	sc moveScratch
-}
-
-// pendingMove remembers how to undo the in-flight TryMove. Its slices are
-// reused across moves.
-type pendingMove struct {
+	// led holds the committed reservations; between moves its log is
+	// empty, so a move spans the log from mark 0.
+	led   *ledger
 	stats Stats
 
-	// Delta bookkeeping per group: records released by the teardown and
-	// fresh records the re-route granted.
-	oldByGroup [][]*resRecord
-	newByGroup [][]*resRecord
+	// pending is set while a tried move awaits Keep or Undo; next holds its
+	// statistics.
+	pending bool
+	next    Stats
 
-	// rebuilt lists the groups the fallback re-evaluated from scratch;
-	// snap[g] then holds the group's complete pre-move record set
-	// (restored wholesale on Undo).
-	rebuilt []int
-	snap    [][]*resRecord
-
-	// swapped records whether the placement buffers were exchanged, so a
-	// rollback from any point restores them correctly.
-	swapped bool
+	sc moveScratch
 }
 
 // moveScratch is the reusable working state of one session's moves.
@@ -112,52 +89,24 @@ var (
 	errMoveInfeasible = fmt.Errorf("core: move infeasible: a group's flows no longer route or fit their slot tables")
 )
 
-// newSessionShell builds an empty session with every buffer sized for the
-// evaluator's design; callers fill states, records and the placement.
-func (ev *Evaluator) newSessionShell() *Session {
-	numGroups := len(ev.prep.Groups)
+// newSession builds a session over the ledger l at the placement
+// (coreSwitch, coreNI), with every buffer sized for the evaluator's design.
+func (ev *Evaluator) newSession(l *ledger, coreSwitch, coreNI []int) *Session {
 	numPairs := len(ev.pairList)
 	s := &Session{
-		ev:     ev,
-		cs:     make([]int, ev.numCores),
-		cn:     make([]int, ev.numCores),
-		csAlt:  make([]int, ev.numCores),
-		cnAlt:  make([]int, ev.numCores),
-		states: make([]*tdma.State, numGroups),
-		recs:   make([][]*resRecord, numGroups),
+		ev:    ev,
+		cs:    slices.Clone(coreSwitch),
+		cn:    slices.Clone(coreNI),
+		csAlt: make([]int, ev.numCores),
+		cnAlt: make([]int, ev.numCores),
+		led:   l,
+		stats: l.stats(ev.designTables),
 	}
-	for g := range s.recs {
-		s.recs[g] = make([]*resRecord, numPairs)
-	}
-	s.pm.oldByGroup = make([][]*resRecord, numGroups)
-	s.pm.newByGroup = make([][]*resRecord, numGroups)
-	s.pm.snap = make([][]*resRecord, numGroups)
 	s.sc.res.route = route.NewScratch()
 	s.sc.affected = make([]int32, 0, numPairs)
 	s.sc.seenPair = make([]bool, numPairs)
+	s.sc.seats = make([]int, ev.top.NumSwitches()*ev.p.NIsPerSwitch)
 	return s
-}
-
-func (s *Session) getRec() *resRecord {
-	if n := len(s.freeRecs); n > 0 {
-		r := s.freeRecs[n-1]
-		s.freeRecs = s.freeRecs[:n-1]
-		return r
-	}
-	return &resRecord{}
-}
-
-func (s *Session) putRec(r *resRecord) { s.freeRecs = append(s.freeRecs, r) }
-
-// pathHops counts the mesh links of a full path (NI links excluded).
-func (ev *Evaluator) pathHops(path []int) int32 {
-	hops := int32(0)
-	for _, l := range path {
-		if l < ev.meshLinks {
-			hops++
-		}
-	}
-	return hops
 }
 
 // NewSession fully evaluates the placement and, on success, returns a
@@ -165,46 +114,35 @@ func (ev *Evaluator) pathHops(path []int) int32 {
 // session evaluates moves of an existing complete placement, it does not
 // run the constructive placement phase.
 func (ev *Evaluator) NewSession(coreSwitch, coreNI []int) (*Session, error) {
-	if err := ev.ValidatePlacement(coreSwitch, coreNI); err != nil {
+	if err := ev.ValidatePlacement(coreSwitch, coreNI, nil); err != nil {
 		return nil, err
 	}
-	fix := &placementFix{CoreSwitch: coreSwitch, CoreNI: coreNI}
-	if !ev.covered(fix) {
-		return nil, fmt.Errorf("core: session placement leaves communicating cores unattached")
+	for _, c := range ev.active {
+		if coreSwitch[c] < 0 {
+			return nil, fmt.Errorf("core: session placement leaves communicating cores unattached")
+		}
 	}
-	mapping, states, journal, err := ev.attempt(fix)
+	m, err := ev.attempt(coreSwitch, coreNI)
 	if err != nil {
 		return nil, err
 	}
-	s := ev.newSessionShell()
-	copy(s.cs, coreSwitch)
-	copy(s.cn, coreNI)
-	s.states = states
-	// Adopt the journal's records: the successful attempt detached its
-	// scratch, so the records — and their path/start buffers — are
-	// exclusively this session's and can enter the recycling pool.
-	for i := range journal {
-		r := &journal[i]
-		r.idx = ev.pairIdx[r.key]
-		r.hops = ev.pathHops(r.path)
-		s.recs[r.group][r.idx] = r
-	}
-	s.nextOwner = int32(len(journal))
-	s.stats = computeStats(mapping, states)
-	return s, nil
+	// Adopt the pass's ledger: the mapper never returns to the pool, so its
+	// records are exclusively this session's.
+	m.led.commit()
+	return ev.newSession(m.led, coreSwitch, coreNI), nil
 }
 
 // SessionFrom positions a session at an existing Result's configuration
 // without re-running the configuration phase: the result's reservations are
-// replayed into fresh slot tables exactly as granted. This matters beyond
-// speed — a constructive (growth-loop) result is not always reproducible by
-// a fixed-placement re-evaluation, because the constructive pass routed
-// flows while the placement was still emerging; adopting the reservations
-// keeps such results annealable. The result must be a feasible
-// configuration on this evaluator's topology (engine results verified by
-// internal/verify always are). The reservation data is copied, never
-// aliased: the session's buffer recycling must not reach into the source
-// result.
+// replayed through the ledger's grant path exactly as granted. This matters
+// beyond speed — a constructive (growth-loop) result is not always
+// reproducible by a fixed-placement re-evaluation, because the constructive
+// pass routed flows while the placement was still emerging; adopting the
+// reservations keeps such results annealable. The result must be a
+// feasible configuration on this evaluator's topology (engine results
+// verified by internal/verify always are). The reservation data is copied,
+// never aliased: the ledger's buffer recycling must not reach into the
+// source result.
 func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 	if res == nil || res.Mapping == nil {
 		return nil, fmt.Errorf("core: session from nil result")
@@ -213,21 +151,12 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 	if m.Topology.NumSwitches() != ev.top.NumSwitches() || m.Topology.NumLinks() != ev.top.NumLinks() {
 		return nil, fmt.Errorf("core: result fabric %s does not match evaluator fabric %s", m.Topology, ev.top)
 	}
-	if err := ev.ValidatePlacement(m.CoreSwitch, m.CoreNI); err != nil {
+	if err := ev.ValidatePlacement(m.CoreSwitch, m.CoreNI, nil); err != nil {
 		return nil, err
 	}
-	s := ev.newSessionShell()
-	copy(s.cs, m.CoreSwitch)
-	copy(s.cn, m.CoreNI)
-	for g := range s.states {
-		st, err := tdma.NewState(ev.totalLinks, ev.p.SlotTableSize)
-		if err != nil {
-			return nil, err
-		}
-		s.states[g] = st
-	}
-	// Collect the group-shared assignment of every (group, pair) from the
-	// per-use-case configurations, then replay it.
+	l := ev.newLedger()
+	// Replay the group-shared assignment of every (group, pair) from the
+	// per-use-case configurations.
 	for uc := range ev.prep.UseCases {
 		g := ev.prep.GroupOf[uc]
 		cfg := m.Configs[uc]
@@ -240,23 +169,16 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 				return nil, fmt.Errorf("core: result misses assignment of pair %d->%d", ps.key.Src, ps.key.Dst)
 			}
 			idx := ev.ucPairIdx[uc][i]
-			if s.recs[g][idx] != nil {
+			if l.live[g][idx] != nil {
 				continue
 			}
-			r := s.getRec()
-			r.group, r.owner, r.key, r.idx = g, s.nextOwner, ps.key, idx
-			r.path = append(r.path[:0], a.Path...)
-			r.start = append(r.start[:0], a.Starts...)
-			r.hops = ev.pathHops(r.path)
-			if err := s.states[g].Reserve(r.owner, r.path, r.start); err != nil {
+			if _, err := l.grant(g, idx, ps.key, a.Path, a.Starts, ev.pathHops(a.Path)); err != nil {
 				return nil, fmt.Errorf("core: result not reservable (pair %d->%d, group %d): %w", ps.key.Src, ps.key.Dst, g, err)
 			}
-			s.nextOwner++
-			s.recs[g][idx] = r
 		}
 	}
-	s.stats = s.statsFromRecs()
-	return s, nil
+	l.commit()
+	return ev.newSession(l, m.CoreSwitch, m.CoreNI), nil
 }
 
 // Clone forks an independent session at the same committed configuration:
@@ -269,25 +191,7 @@ func (s *Session) Clone() (*Session, error) {
 	if s.pending {
 		return nil, errPendingMove
 	}
-	c := s.ev.newSessionShell()
-	copy(c.cs, s.cs)
-	copy(c.cn, s.cn)
-	c.nextOwner = s.nextOwner
-	c.stats = s.stats
-	for g := range s.states {
-		c.states[g] = s.states[g].Clone()
-		for idx, r := range s.recs[g] {
-			if r == nil {
-				continue
-			}
-			nr := c.getRec()
-			nr.group, nr.owner, nr.key, nr.idx, nr.hops = r.group, r.owner, r.key, r.idx, r.hops
-			nr.path = append(nr.path[:0], r.path...)
-			nr.start = append(nr.start[:0], r.start...)
-			c.recs[g][idx] = nr
-		}
-	}
-	return c, nil
+	return s.ev.newSession(s.led.clone(), s.cs, s.cn), nil
 }
 
 // Stats returns the statistics of the current committed configuration.
@@ -315,7 +219,7 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	if s.pending {
 		return Stats{}, errPendingMove
 	}
-	if err := s.validatePlacement(coreSwitch, coreNI); err != nil {
+	if err := s.ev.ValidatePlacement(coreSwitch, coreNI, s.sc.seats); err != nil {
 		return Stats{}, err
 	}
 	for _, c := range moved {
@@ -373,27 +277,17 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	}
 	s.sc.affected = affected
 
-	// Adopt the candidate placement (buffer swap; rollback swaps back).
-	pm := &s.pm
+	// Adopt the candidate placement (buffer swap; undoMove swaps back).
 	copy(s.csAlt, coreSwitch)
 	copy(s.cnAlt, coreNI)
 	s.cs, s.csAlt = s.csAlt, s.cs
 	s.cn, s.cnAlt = s.cnAlt, s.cn
-	pm.swapped = true
 
 	// Tear down every affected pair.
-	numGroups := len(s.ev.prep.Groups)
+	l, ev := s.led, s.ev
 	for _, idx := range affected {
-		plan := s.ev.planOf[idx]
-		for _, g := range plan.groups {
-			r := s.recs[g][idx]
-			if r == nil {
-				s.rollbackMove()
-				return Stats{}, fmt.Errorf("core: internal: pair %d missing from group %d", idx, g)
-			}
-			s.states[g].Release(r.owner, r.path, r.start)
-			s.recs[g][idx] = nil
-			pm.oldByGroup[g] = append(pm.oldByGroup[g], r)
+		for _, g := range ev.planOf[idx].groups {
+			l.release(g, idx)
 		}
 	}
 
@@ -403,182 +297,64 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	// alone (identical to its share of a full re-evaluation), and a group
 	// whose from-scratch pass fails proves the whole move infeasible
 	// without touching the remaining groups.
-	for g := 0; g < numGroups; g++ {
-		ok := true
-		for _, idx := range affected {
-			plan := s.ev.planOf[idx]
-			gi := -1
-			for i, pg := range plan.groups {
-				if pg == g {
-					gi = i
-					break
-				}
-			}
-			if gi < 0 {
-				continue // this group does not communicate over the pair
-			}
-			key := s.ev.pairList[idx]
-			rec := s.getRec()
-			err := s.ev.reserveSlots(&s.sc.res, s.states[g], s.nextOwner, key,
-				s.cs[key.Src], s.cs[key.Dst], s.niEgress(s.cn[key.Src]), s.niIngress(s.cn[key.Dst]),
-				plan.bw[gi], plan.lat[gi], rec)
-			if err != nil {
-				s.putRec(rec)
-				ok = false
-				break
-			}
-			rec.group, rec.owner, rec.key, rec.idx = g, s.nextOwner, key, idx
-			s.nextOwner++
-			s.recs[g][idx] = rec
-			pm.newByGroup[g] = append(pm.newByGroup[g], rec)
-		}
-		if ok {
+	for g := range l.states {
+		mark := l.mark()
+		if s.rerouteDelta(g, affected) == nil {
 			continue
 		}
-		if err := s.rebuildGroup(g); err != nil {
-			s.rollbackMove()
+		l.rollback(mark)
+		if s.rebuildGroup(g) != nil {
+			s.undoMove()
 			return Stats{}, errMoveInfeasible
 		}
 	}
-	pm.stats = s.statsFromRecs()
+	s.next = l.stats(ev.designTables)
 	s.pending = true
-	return pm.stats, nil
+	return s.next, nil
 }
 
-// rebuildGroup re-routes every pair of group g from scratch in the global
-// order, after undoing the group's partial delta. On success the group
-// carries exactly the configuration a full re-evaluation of the placement
-// would grant it; on failure the group is restored to its pre-move
-// configuration.
-func (s *Session) rebuildGroup(g int) error {
-	pm := &s.pm
-	for _, r := range pm.newByGroup[g] {
-		s.states[g].Release(r.owner, r.path, r.start)
-		s.recs[g][r.idx] = nil
-		s.putRec(r)
-	}
-	pm.newByGroup[g] = pm.newByGroup[g][:0]
-	// Snapshot the pre-move record set: the current (untouched) records
-	// plus the ones the teardown released.
-	if pm.snap[g] == nil {
-		pm.snap[g] = make([]*resRecord, len(s.recs[g]))
-	}
-	snap := pm.snap[g]
-	copy(snap, s.recs[g])
-	for _, r := range pm.oldByGroup[g] {
-		snap[r.idx] = r
-	}
-	pm.oldByGroup[g] = pm.oldByGroup[g][:0]
-	pm.rebuilt = append(pm.rebuilt, g)
-
-	s.states[g].Reset()
-	cur := s.recs[g]
-	for i := range cur {
-		cur[i] = nil
-	}
-	for _, pd := range s.ev.groupPairs[g] {
-		key := pd.key
-		rec := s.getRec()
-		err := s.ev.reserveSlots(&s.sc.res, s.states[g], s.nextOwner, key,
-			s.cs[key.Src], s.cs[key.Dst], s.niEgress(s.cn[key.Src]), s.niIngress(s.cn[key.Dst]),
-			pd.bw, pd.lat, rec)
-		if err != nil {
-			s.putRec(rec)
-			s.restoreGroupFromSnap(g)
-			pm.rebuilt = pm.rebuilt[:len(pm.rebuilt)-1]
+// rerouteDelta re-routes the affected pairs group g communicates over, in
+// the global routing order.
+func (s *Session) rerouteDelta(g int, affected []int32) error {
+	for _, idx := range affected {
+		plan := s.ev.planOf[idx]
+		gi := slices.Index(plan.groups, g)
+		if gi < 0 {
+			continue // this group does not communicate over the pair
+		}
+		if _, err := s.ev.reserveSlots(&s.sc.res, s.led, g, idx, s.cs, s.cn, plan.bw[gi], plan.lat[gi]); err != nil {
 			return err
 		}
-		rec.group, rec.owner, rec.key, rec.idx = g, s.nextOwner, key, pd.idx
-		s.nextOwner++
-		cur[pd.idx] = rec
 	}
 	return nil
 }
 
-// restoreGroupFromSnap resets group g's state, frees its current records and
-// replays the snapshot taken by rebuildGroup.
-func (s *Session) restoreGroupFromSnap(g int) {
-	cur := s.recs[g]
-	for i, r := range cur {
-		if r != nil {
-			s.putRec(r)
-			cur[i] = nil
+// rebuildGroup releases every pair of group g and re-routes them all from
+// scratch in the global order. On success the group carries exactly the
+// configuration a full re-evaluation of the placement would grant it; a
+// failure leaves the group for the move's rollback to restore.
+func (s *Session) rebuildGroup(g int) error {
+	l := s.led
+	pairs := s.ev.groupPairs[g]
+	for _, pd := range pairs {
+		if l.live[g][pd.idx] != nil {
+			l.release(g, pd.idx)
 		}
 	}
-	s.states[g].Reset()
-	for _, r := range s.pm.snap[g] {
-		if r == nil {
-			continue
-		}
-		if err := s.states[g].Reserve(r.owner, r.path, r.start); err != nil {
-			// The set was simultaneously live before; replay cannot conflict.
-			panic(fmt.Sprintf("core: internal: group restore failed: %v", err))
-		}
-	}
-	copy(cur, s.pm.snap[g])
-}
-
-// rollbackMove restores every group and the placement to the pre-move
-// configuration and recycles the rejected records.
-func (s *Session) rollbackMove() {
-	pm := &s.pm
-	for _, g := range pm.rebuilt {
-		s.restoreGroupFromSnap(g)
-	}
-	pm.rebuilt = pm.rebuilt[:0]
-	for g := range pm.newByGroup {
-		lst := pm.newByGroup[g]
-		for i := len(lst) - 1; i >= 0; i-- {
-			r := lst[i]
-			s.states[g].Release(r.owner, r.path, r.start)
-			s.recs[g][r.idx] = nil
-			s.putRec(r)
-		}
-		pm.newByGroup[g] = lst[:0]
-		for _, r := range pm.oldByGroup[g] {
-			if err := s.states[g].Reserve(r.owner, r.path, r.start); err != nil {
-				panic(fmt.Sprintf("core: internal: session rollback failed: %v", err))
-			}
-			s.recs[g][r.idx] = r
-		}
-		pm.oldByGroup[g] = pm.oldByGroup[g][:0]
-	}
-	if pm.swapped {
-		s.cs, s.csAlt = s.csAlt, s.cs
-		s.cn, s.cnAlt = s.cnAlt, s.cn
-		pm.swapped = false
-	}
-}
-
-// validatePlacement is ValidatePlacement against session-owned scratch.
-func (s *Session) validatePlacement(coreSwitch, coreNI []int) error {
-	ev := s.ev
-	if len(coreSwitch) != ev.numCores || len(coreNI) != ev.numCores {
-		return fmt.Errorf("core: fixed placement has wrong length (switch %d, NI %d entries, design has %d cores)",
-			len(coreSwitch), len(coreNI), ev.numCores)
-	}
-	numNIs := ev.top.NumSwitches() * ev.p.NIsPerSwitch
-	if cap(s.sc.seats) < numNIs {
-		s.sc.seats = make([]int, numNIs)
-	}
-	seats := s.sc.seats[:numNIs]
-	for i := range seats {
-		seats[i] = 0
-	}
-	for c := 0; c < ev.numCores; c++ {
-		sw, ni := coreSwitch[c], coreNI[c]
-		if sw < 0 {
-			continue
-		}
-		if sw >= ev.top.NumSwitches() || ni < 0 || ni >= numNIs || ni/ev.p.NIsPerSwitch != sw {
-			return fmt.Errorf("core: fixed placement of core %d (switch %d, NI %d) invalid", c, sw, ni)
-		}
-		seats[ni]++
-		if seats[ni] > ev.p.CoresPerNI {
-			return fmt.Errorf("core: fixed placement overfills NI %d (%d cores, capacity %d)", ni, seats[ni], ev.p.CoresPerNI)
+	for _, pd := range pairs {
+		if _, err := s.ev.reserveSlots(&s.sc.res, l, g, pd.idx, s.cs, s.cn, pd.bw, pd.lat); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// undoMove rolls the ledger back to the move's mark and restores the
+// placement.
+func (s *Session) undoMove() {
+	s.led.rollback(0)
+	s.cs, s.csAlt = s.csAlt, s.cs
+	s.cn, s.cnAlt = s.cnAlt, s.cn
 }
 
 // niCapacityCheck rejects moves that are infeasible regardless of routing:
@@ -676,25 +452,8 @@ func (s *Session) Keep() {
 	if !s.pending {
 		return
 	}
-	pm := &s.pm
-	s.stats = pm.stats
-	for _, g := range pm.rebuilt {
-		for i, r := range pm.snap[g] {
-			if r != nil {
-				s.putRec(r)
-				pm.snap[g][i] = nil
-			}
-		}
-	}
-	pm.rebuilt = pm.rebuilt[:0]
-	for g := range pm.oldByGroup {
-		for _, r := range pm.oldByGroup[g] {
-			s.putRec(r)
-		}
-		pm.oldByGroup[g] = pm.oldByGroup[g][:0]
-		pm.newByGroup[g] = pm.newByGroup[g][:0]
-	}
-	pm.swapped = false
+	s.led.commit()
+	s.stats = s.next
 	s.pending = false
 }
 
@@ -705,88 +464,26 @@ func (s *Session) Undo() {
 		return
 	}
 	s.pending = false
-	s.rollbackMove()
+	s.undoMove()
 }
 
 // Result materializes the current committed configuration as a complete
 // Result, equivalent in shape to an EvaluateFixed output. It must not be
 // called while a move is pending. All reservation data is copied out of the
-// session: the session recycles its record buffers move over move, so a
-// result that aliased them would be corrupted by the next TryMove.
+// ledger, which recycles its record buffers move over move.
 func (s *Session) Result() *Result {
 	if s.pending {
 		panic("core: Session.Result with a pending move")
 	}
+	ev := s.ev
 	mapping := &Mapping{
-		Topology:   s.ev.top,
-		Params:     s.ev.p,
-		Prep:       s.ev.prep,
-		CoreSwitch: append([]int(nil), s.cs...),
-		CoreNI:     append([]int(nil), s.cn...),
+		Topology:   ev.top,
+		Params:     ev.p,
+		Prep:       ev.prep,
+		CoreSwitch: slices.Clone(s.cs),
+		CoreNI:     slices.Clone(s.cn),
+		Configs:    s.led.configs(ev.designTables),
 	}
-	// One shared Assignment per (group, pair), mirroring the mapper.
-	asn := make([]map[traffic.PairKey]*Assignment, len(s.recs))
-	for g := range s.recs {
-		asn[g] = make(map[traffic.PairKey]*Assignment)
-		for _, r := range s.recs[g] {
-			if r == nil {
-				continue
-			}
-			asn[g][r.key] = &Assignment{
-				Path:      append([]int(nil), r.path...),
-				Starts:    append([]int(nil), r.start...),
-				SlotCount: len(r.start),
-			}
-		}
-	}
-	mapping.Configs = make([]*Config, len(s.ev.prep.UseCases))
-	for uc := range s.ev.prep.UseCases {
-		g := s.ev.prep.GroupOf[uc]
-		cfg := &Config{Assignments: make(map[traffic.PairKey]*Assignment, len(s.ev.ucPairs[uc]))}
-		for _, ps := range s.ev.ucPairs[uc] {
-			cfg.Assignments[ps.key] = asn[g][ps.key]
-		}
-		mapping.Configs[uc] = cfg
-	}
-	dim := topology.Dim{Rows: s.ev.top.Rows, Cols: s.ev.top.Cols}
+	dim := topology.Dim{Rows: ev.top.Rows, Cols: ev.top.Cols}
 	return &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: s.stats}
 }
-
-// statsFromRecs recomputes the summary statistics of the current
-// reservation set — the same quantities computeStats derives from a
-// finished Mapping, without materializing one. The iteration order matches
-// the legacy per-use-case walk exactly, so the floating-point sums are
-// bit-identical to the one-shot path's.
-func (s *Session) statsFromRecs() Stats {
-	var st Stats
-	T := s.ev.p.SlotTableSize
-	minFree := T
-	for _, state := range s.states {
-		if f := state.MinFree(); f < minFree {
-			minFree = f
-		}
-	}
-	st.MaxLinkUtil = 1 - float64(minFree)/float64(T)
-	var bwHops, bwSum float64
-	for uc := range s.ev.prep.UseCases {
-		g := s.ev.prep.GroupOf[uc]
-		recsG := s.recs[g]
-		stats := s.ev.ucPairs[uc]
-		for i, idx := range s.ev.ucPairIdx[uc] {
-			r := recsG[idx]
-			if r == nil {
-				continue
-			}
-			st.SlotsReserved += len(r.start) * len(r.path)
-			bwHops += stats[i].bw * float64(r.hops)
-			bwSum += stats[i].bw
-		}
-	}
-	if bwSum > 0 {
-		st.AvgMeshHops = bwHops / bwSum
-	}
-	return st
-}
-
-func (s *Session) niEgress(globalNI int) int  { return s.ev.meshLinks + 2*globalNI }
-func (s *Session) niIngress(globalNI int) int { return s.ev.meshLinks + 2*globalNI + 1 }

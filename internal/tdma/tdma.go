@@ -100,8 +100,7 @@ func (s *State) Clone() *State {
 }
 
 // Reset frees every slot of every link, returning the state to its
-// NewState condition without reallocating. Evaluation arenas (core.Evaluator)
-// reuse one State per group across many candidate placements this way.
+// NewState condition without reallocating.
 func (s *State) Reset() {
 	for i := range s.tables {
 		s.tables[i] = Free
@@ -335,14 +334,6 @@ func (s *State) Release(owner int32, path []int, starts []int) {
 	}
 }
 
-// Reservation records a granted slot allocation: the path and the starting
-// slots on its first link.
-type Reservation struct {
-	Owner  int32
-	Path   []int // link IDs in traversal order
-	Starts []int // starting slots on Path[0], sorted
-}
-
 // MaxGap returns the worst-case number of whole slots a flit waits at the NI
 // for the next reserved start, i.e. the largest cyclic gap between
 // consecutive reserved starts minus one. A single reserved slot yields T-1;
@@ -405,19 +396,6 @@ func (s *State) MinFree() int {
 		}
 	}
 	return min
-}
-
-// CopyFrom overwrites this state with src's contents without allocating.
-// The two states must have identical shape (same link count and table size).
-func (s *State) CopyFrom(src *State) error {
-	if s.numLinks != src.numLinks || s.slots != src.slots {
-		return fmt.Errorf("tdma: copy between mismatched states (%d/%d links, %d/%d slots)",
-			s.numLinks, src.numLinks, s.slots, src.slots)
-	}
-	copy(s.tables, src.tables)
-	copy(s.free, src.free)
-	copy(s.masks, src.masks)
-	return nil
 }
 
 // SlotsNeeded returns how many slots a flow of bandwidthMBs requires when
